@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the benchmark from the root of a checkout.
 
-    python3 perfbench/run.py --workload audit_from_bytes --seed 42 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload audit_from_bytes --seed 42 --seconds 45 --trace 0
 
 Builds the serving daemons (fhc-shardd, fhc-gateway) with the repository's
 own release build and the `perfbench` package beside them, then runs the

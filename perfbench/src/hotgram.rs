@@ -29,8 +29,8 @@ pub const WRITE_EVERY: usize = 10;
 /// One write in this many retires a class and adds a fresh one; the others
 /// add one reference to an existing class.
 pub const RESET_EVERY: usize = 4;
-/// The read-latency tail reported: a window of a 20 s run holds ~800
-/// reads, which leaves ~40 beyond p95.
+/// The read-latency tail reported: a window of a 45 s run holds ~700
+/// reads, which leaves ~35 beyond p95.
 pub const TAIL_PCT: f64 = 95.0;
 /// Probes drawn per pooled angle.
 const POOL: usize = 64;

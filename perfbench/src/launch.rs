@@ -11,7 +11,7 @@ use crate::procs::{vm_hwm_mb, Daemon};
 use crate::setup::{fit_and_store, repeat_setup, Fitted};
 use crate::stats::{inflight_max, lateness, median, percentile, poisson_schedule, Rng, Summary};
 use crate::trace::Trace;
-use crate::{Ctx, Outcome, WINDOWS};
+use crate::{Ctx, Outcome};
 use fhc::backend::{ScanBackend, SimilarityBackend};
 use fhc::features::PreparedSampleFeatures;
 use fhc::shardnet::wire::{self, ClientReply, Frame};
@@ -39,16 +39,21 @@ pub const SATURATE_QPS: f64 = 20000.0;
 /// Sizes the saturation burst to take about its share of `--seconds`.
 const CAPACITY_QPS: f64 = 4500.0;
 /// Shares of `--seconds` each phase offers load for.
-const WARM_SHARE: f64 = 0.05;
-const LIGHT_SHARE: f64 = 0.4;
-const HEAVY_SHARE: f64 = 0.25;
-const LADDER_SHARE: f64 = 0.2;
-const SATURATE_SHARE: f64 = 0.1;
+/// Warm-up is per fleet; the light share is split among the fleets.
+const WARM_SHARE: f64 = 0.01;
+const LIGHT_SHARE: f64 = 0.55;
+const HEAVY_SHARE: f64 = 0.2;
+const LADDER_SHARE: f64 = 0.1;
+const SATURATE_SHARE: f64 = 0.05;
+/// Fresh fleets the light load is offered to, one after another.
+const LIGHT_FLEETS: usize = 9;
 /// A rung passes when its p99 stays under this and its backlog does not grow.
 pub const P99_LIMIT_MS: f64 = 10.0;
 /// Generator lateness (p99) beyond which a run is flagged invalid.
 pub const GEN_LAG_LIMIT_MS: f64 = 5.0;
 pub const TAIL_PCT: f64 = 99.0;
+/// Windows per phase: few, so each holds enough requests for a p99.
+const PHASE_WINDOWS: usize = 5;
 /// How long the receiver waits for any reply before giving up.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -182,7 +187,7 @@ struct Phase {
 
 impl Phase {
     fn latency(&self) -> Summary {
-        Summary::windowed(&self.lat_ms, WINDOWS, TAIL_PCT)
+        Summary::windowed(&self.lat_ms, PHASE_WINDOWS, TAIL_PCT)
     }
 
     fn gen_lag_p99(&self) -> f64 {
@@ -213,13 +218,15 @@ impl Phase {
 
     fn describe(&self, name: &str) -> String {
         format!(
-            "{name} @ {} qps: sent {}, succeeded {}, failed {}, overloaded {}; latency {}; gen_lag_p99_ms {:.4}; inflight max {}",
+            "{name} @ {} qps: sent {}, succeeded {}, failed {}, overloaded {}; latency {}; rtt p50 {:.4} ms; gen_lag p50 {:.4} ms, p99 {:.4} ms; inflight max {}",
             self.rate,
             self.sent,
             self.ok,
             self.failed,
             self.overloaded,
             self.latency().describe("ms"),
+            median(&self.rtt_us) / 1e3,
+            median(&self.gen_lag_ms),
             self.gen_lag_p99(),
             self.inflight_max
         )
@@ -442,40 +449,66 @@ pub fn run(ctx: &Ctx, seconds: f64, setup_reps: usize, trace: &Trace) -> Result<
     })?;
     let probes = probes(&fitted, ctx, trace)?;
     let classifier = &fitted.classifier;
-    let stream = connect(&fleet.gateway.addr, classifier.reference().n_columns())?;
+    let n_columns = classifier.reference().n_columns();
+    let mut stream = connect(&fleet.gateway.addr, n_columns)?;
 
     let mut out = Outcome::new("launch_open_loop");
     out.setup_s = setup_s;
     let mut rng = Rng::derive(ctx.seed, "launch_schedule");
     let mut next_id = 1u64;
     let off = Trace::new(false);
-    let mut phase =
-        |rate: f64, secs: f64, trace: &Trace, out: &mut Outcome| -> Result<Phase, String> {
-            let p = run_phase(
-                &stream, &probes, classifier, rate, secs, &mut rng, next_id, trace,
-            )?;
-            next_id += p.scheduled;
-            out.attempted += p.scheduled;
-            out.failed += p.failed + p.overloaded;
-            Ok(p)
-        };
+    let mut phase = |stream: &TcpStream,
+                     rate: f64,
+                     secs: f64,
+                     trace: &Trace,
+                     out: &mut Outcome|
+     -> Result<Phase, String> {
+        let p = run_phase(
+            stream, &probes, classifier, rate, secs, &mut rng, next_id, trace,
+        )?;
+        next_id += p.scheduled;
+        out.attempted += p.scheduled;
+        out.failed += p.failed + p.overloaded;
+        Ok(p)
+    };
 
-    // Warm-up: connections, batchers and caches, verified but not reported.
-    phase(LIGHT_QPS, seconds * WARM_SHARE, &off, &mut out)?;
-    let light = phase(LIGHT_QPS, seconds * LIGHT_SHARE, &off, &mut out)?;
-    let heavy = phase(HEAVY_QPS, seconds * HEAVY_SHARE, &off, &mut out)?;
+    // Light load is offered to several fleets in turn, each started afresh:
+    // where the scheduler places a fleet's threads on the host's few cores
+    // moves its latency by ~15% and stays put for the fleet's life, so a
+    // figure over many fleets is steadier than any one fleet.
+    let mut lights = Vec::with_capacity(LIGHT_FLEETS);
+    for k in 0..LIGHT_FLEETS {
+        if k > 0 {
+            fleet = Fleet::start(ctx, &fitted.artifact, &off)?;
+            stream = connect(&fleet.gateway.addr, n_columns)?;
+        }
+        // Warm-up: connections, batchers and caches, verified but not reported.
+        phase(&stream, LIGHT_QPS, seconds * WARM_SHARE, &off, &mut out)?;
+        let secs = seconds * LIGHT_SHARE / LIGHT_FLEETS as f64;
+        let light = phase(&stream, LIGHT_QPS, secs, &off, &mut out)?;
+        out.lines.push(light.describe(&format!("light, fleet {k}")));
+        lights.push(light);
+    }
+    let light_lat: Vec<&[f64]> = lights.iter().map(|p| p.lat_ms.as_slice()).collect();
+    let light_lat = Summary::of_parts(&light_lat, TAIL_PCT);
+    // The last fleet also takes the heavy load (and the traced phase).
+    let light = lights.last().ok_or("no light phase ran")?;
+    let heavy = phase(&stream, HEAVY_QPS, seconds * HEAVY_SHARE, &off, &mut out)?;
     // Peak memory at the reported operating points, before any overload.
     out.children_mb = fleet.peak_mb();
-    out.lines.push(light.describe("light"));
     out.lines.push(heavy.describe("heavy"));
     out.lines.push(format!(
-        "lat_p50_ms.light {:.4} ms, lat_p99_ms.light {:.4} ms, lat_p50_ms.heavy {:.4} ms, lat_p99_ms.heavy {:.4} ms",
-        light.latency().p50,
-        light.latency().tail,
+        "lat_p50_ms.light {:.4} ms, lat_p99_ms.light {:.4} ms (medians over {LIGHT_FLEETS} fleets), lat_p50_ms.heavy {:.4} ms, lat_p99_ms.heavy {:.4} ms",
+        light_lat.p50,
+        light_lat.tail,
         heavy.latency().p50,
         heavy.latency().tail
     ));
-    let gen_lag = light.gen_lag_p99().max(heavy.gen_lag_p99());
+    let gen_lag = lights
+        .iter()
+        .chain([&heavy])
+        .map(Phase::gen_lag_p99)
+        .fold(0.0, f64::max);
     out.lines.push(format!("gen_lag_p99_ms {gen_lag:.4} ms"));
     if gen_lag > GEN_LAG_LIMIT_MS {
         out.invalid = Some(format!(
@@ -484,11 +517,11 @@ pub fn run(ctx: &Ctx, seconds: f64, setup_reps: usize, trace: &Trace) -> Result<
     }
     // Reported: latency at the light rate, which CPU stolen by a noisy
     // neighbour moves least, and the rate served at the heavy one.
-    out.latency = light.latency();
+    out.latency = light_lat;
     out.throughput = heavy.ok as f64 / heavy.busy_s;
 
     if trace.enabled() {
-        let traced = phase(LIGHT_QPS, seconds * LIGHT_SHARE, trace, &mut out)?;
+        let traced = phase(&stream, LIGHT_QPS, seconds * LIGHT_SHARE, trace, &mut out)?;
         out.lines.push(traced.describe("light, traced"));
         out.overhead_pct = Some((traced.latency().p50 / light.latency().p50 - 1.0) * 100.0);
         let rtt = Summary::at(&traced.rtt_us, 99.0);
@@ -502,9 +535,9 @@ pub fn run(ctx: &Ctx, seconds: f64, setup_reps: usize, trace: &Trace) -> Result<
         );
         out.layers
             .insert("gateway.inflight_max", traced.inflight_max as f64);
-        let phases = [&light, &heavy, &traced];
-        let overloads: u64 = phases.iter().map(|p| p.overloaded).sum();
-        let net_errors: u64 = phases.iter().map(|p| p.net_errors).sum();
+        let phases = || lights.iter().chain([&heavy, &traced]);
+        let overloads: u64 = phases().map(|p| p.overloaded).sum();
+        let net_errors: u64 = phases().map(|p| p.net_errors).sum();
         out.layers.insert("gateway.overloads", overloads as f64);
         out.layers.insert("gateway.net_errors", net_errors as f64);
     } else {
@@ -513,7 +546,7 @@ pub fn run(ctx: &Ctx, seconds: f64, setup_reps: usize, trace: &Trace) -> Result<
         let mut max_rate = if heavy.meets_limit() { HEAVY_QPS } else { 0.0 };
         if max_rate > 0.0 {
             for rate in LADDER_QPS {
-                let rung = phase(rate, rung_s, &off, &mut out)?;
+                let rung = phase(&stream, rate, rung_s, &off, &mut out)?;
                 let pass = rung.meets_limit();
                 out.lines
                     .push(rung.describe(if pass { "rung, met" } else { "rung, missed" }));
@@ -529,7 +562,7 @@ pub fn run(ctx: &Ctx, seconds: f64, setup_reps: usize, trace: &Trace) -> Result<
         // A burst far past capacity: replies then arrive at the fleet's
         // capacity, a continuous figure where the ladder is coarse.
         let burst_s = CAPACITY_QPS * seconds * SATURATE_SHARE / SATURATE_QPS;
-        let burst = phase(SATURATE_QPS, burst_s, &off, &mut out)?;
+        let burst = phase(&stream, SATURATE_QPS, burst_s, &off, &mut out)?;
         out.lines.push(burst.describe("saturation burst"));
         out.lines.push(format!(
             "saturation_qps {:.2} 1/s",

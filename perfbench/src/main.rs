@@ -4,7 +4,7 @@
 //! one JSON object: `{"correct", "attempted", "failed", "metrics"}`.
 //!
 //! ```text
-//! perfbench --workload audit_from_bytes --seed 42 --seconds 20 --trace 0 \
+//! perfbench --workload audit_from_bytes --seed 42 --seconds 45 --trace 0 \
 //!     --bin-dir .bench_build/release --work-dir .bench_build/perfbench
 //! ```
 //!
@@ -84,11 +84,13 @@ const PER_LAYER: [(&str, &str); 40] = [
     ("trace.spans", "count"),
 ];
 
-/// Set-up is repeated this many times per run and its median reported.
-const SETUP_REPS: usize = 3;
-/// Timed phases are summarised per window of this many, in time order,
-/// and the median window reported (see `stats::Summary::windowed`).
-pub const WINDOWS: usize = 5;
+/// Set-up is repeated at least this many times per run and the trimmed mean
+/// of its times reported (see `stats::trimmed_mean`).
+const SETUP_REPS: usize = 5;
+/// Closed-loop phases are summarised per window of this many, in time
+/// order, and the trimmed mean of the windows reported (see
+/// `stats::Summary::windowed`).
+pub const WINDOWS: usize = 15;
 /// In a traced run, each layer the named workload does not reach is
 /// measured by a short run of a workload that does, this long.
 const COMPLEMENT_SECONDS: f64 = 1.0;
@@ -158,7 +160,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: String::new(),
         seed: 42,
-        seconds: 20.0,
+        seconds: 45.0,
         trace: false,
         bin_dir: PathBuf::from(".bench_build/release"),
         work_dir: PathBuf::from(".bench_build/perfbench"),

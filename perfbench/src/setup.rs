@@ -2,7 +2,7 @@
 //! classifier, and store and reload it as an artifact, as a deployment
 //! would before serving.
 
-use crate::stats::median;
+use crate::stats::trimmed_mean;
 use crate::trace::Trace;
 use corpus::{Catalog, Corpus, CorpusBuilder};
 use fhc::config::FhcConfig;
@@ -20,12 +20,12 @@ pub const CORPUS_SCALE: f64 = 0.05;
 pub const FOREST_TREES: usize = 30;
 
 /// Set-up repeats until it has run this long, so a quick one is timed
-/// often enough for a steady median.
-const SETUP_MIN_SECONDS: f64 = 1.0;
+/// often enough for a steady figure.
+const SETUP_MIN_SECONDS: f64 = 2.0;
 
 /// Run `setup` at least `reps` times and for at least
 /// [`SETUP_MIN_SECONDS`], each time dropping the previous result first;
-/// returns the last result and the median time one set-up took.
+/// returns the last result and the trimmed mean of the set-up times.
 pub fn repeat_setup<T>(
     reps: usize,
     mut setup: impl FnMut() -> Result<T, String>,
@@ -40,7 +40,7 @@ pub fn repeat_setup<T>(
         times.push(start.elapsed().as_secs_f64());
     }
     let last = last.ok_or("no set-up ran")?;
-    Ok((last, median(&times)))
+    Ok((last, trimmed_mean(&times)))
 }
 
 pub struct Fitted {

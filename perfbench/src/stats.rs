@@ -129,19 +129,25 @@ impl Summary {
     }
 
     /// Summarise time-ordered `values` per window of [`windows`] and take
-    /// the median of the windows' medians and of their tails, so a stall
-    /// confined to one window moves neither figure.
+    /// the [`trimmed_mean`] of the windows' medians and of their tails, so a
+    /// stall confined to one window moves neither figure.
     pub fn windowed(values: &[f64], k: usize, tail_pct: f64) -> Self {
-        let parts: Vec<Summary> = windows(values, k)
-            .map(|w| Summary::at(w, tail_pct))
-            .collect();
+        let parts: Vec<&[f64]> = windows(values, k).collect();
+        Self::of_parts(&parts, tail_pct)
+    }
+
+    /// Summarise each part on its own and take the [`trimmed_mean`] of the
+    /// parts' medians and of their tails.
+    pub fn of_parts(parts: &[&[f64]], tail_pct: f64) -> Self {
+        let n = parts.iter().map(|p| p.len()).sum();
+        let parts: Vec<Summary> = parts.iter().map(|p| Summary::at(p, tail_pct)).collect();
         let p50s: Vec<f64> = parts.iter().map(|s| s.p50).collect();
         let tails: Vec<f64> = parts.iter().map(|s| s.tail).collect();
         Self {
-            n: values.len(),
-            p50: median(&p50s),
+            n,
+            p50: trimmed_mean(&p50s),
             tail_pct,
-            tail: median(&tails),
+            tail: trimmed_mean(&tails),
             tail_supported: !parts.is_empty() && parts.iter().all(|s| s.tail_supported),
         }
     }
@@ -170,7 +176,7 @@ pub fn windows<T>(items: &[T], k: usize) -> impl Iterator<Item = &[T]> {
 }
 
 /// Work per second in each of `k` windows of time-ordered `(work, seconds)`
-/// steps, and the median of those rates.
+/// steps, and the [`trimmed_mean`] of those rates.
 pub fn windowed_rate(steps: &[(f64, f64)], k: usize) -> f64 {
     let rates: Vec<f64> = windows(steps, k)
         .map(|w| {
@@ -179,7 +185,22 @@ pub fn windowed_rate(steps: &[(f64, f64)], k: usize) -> f64 {
             work / secs
         })
         .collect();
-    median(&rates)
+    trimmed_mean(&rates)
+}
+
+/// The mean of `values` without the lowest and the highest fifth.
+///
+/// Per-window figures are combined with this rather than their median: the
+/// shared host this was built on switches between a fast and a ~1.5x slower
+/// speed every second or so, and a median snaps to whichever speed held
+/// most windows, so whole runs read fast or slow. The trimmed mean moves
+/// with the share of time spent at each speed, and still ignores a stall
+/// confined to a few windows.
+pub fn trimmed_mean(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let cut = sorted.len() / 5;
+    mean(&sorted[cut..sorted.len() - cut])
 }
 
 pub fn median(values: &[f64]) -> f64 {
@@ -303,6 +324,29 @@ mod tests {
         let mut steps = vec![(1.0, 0.125); 50];
         steps[10..20].iter_mut().for_each(|s| s.1 = 1.0);
         assert_eq!(windowed_rate(&steps, 5), 8.0);
+    }
+
+    #[test]
+    fn parts_of_any_length_count_once_each() {
+        // Five fleets: the slow one is the shortest, and trimmed away.
+        let fast = [1.0; 40];
+        let slower = [2.0; 30];
+        let slow = [90.0; 5];
+        let parts: [&[f64]; 5] = [&fast, &slow, &slower, &fast, &slower];
+        let s = Summary::of_parts(&parts, 50.0);
+        assert_eq!((s.p50, s.tail, s.n), (5.0 / 3.0, 5.0 / 3.0, 145));
+        assert!(!s.tail_supported);
+    }
+
+    #[test]
+    fn trimmed_mean_drops_a_fifth_at_each_end() {
+        assert_eq!(trimmed_mean(&[7.0, 1.0, 4.0]), 4.0);
+        assert_eq!(trimmed_mean(&[100.0, 2.0, 3.0, 4.0, 0.0]), 3.0);
+        assert_eq!(trimmed_mean(&[]), 0.0);
+        // Windows at two speeds: the figure follows the share at each.
+        let mut windows = vec![4.0; 15];
+        windows[..6].iter_mut().for_each(|w| *w = 6.0);
+        assert_eq!(trimmed_mean(&windows), (3.0 * 6.0 + 6.0 * 4.0) / 9.0);
     }
 
     #[test]
