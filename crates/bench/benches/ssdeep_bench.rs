@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use fhc_bench::synthetic_bytes;
 use ssdeep::{
     compare, damerau_levenshtein, damerau_levenshtein_bitparallel, fuzzy_hash_bytes,
-    weighted_edit_distance, weighted_edit_distance_bounded,
+    fuzzy_hash_bytes_oracle, weighted_edit_distance, weighted_edit_distance_bounded,
 };
 use std::hint::black_box;
 
@@ -21,6 +21,17 @@ fn bench_hash_generation(c: &mut Criterion) {
             b.iter(|| fuzzy_hash_bytes(black_box(data)))
         });
     }
+    group.finish();
+
+    // The halve-and-rehash reference the engine is tested against, at one
+    // size, so a single run shows what the one-pass engine saves.
+    let mut group = c.benchmark_group("ssdeep/hash_bytes_oracle");
+    let size = 65_536usize;
+    let data = synthetic_bytes(size, 7);
+    group.throughput(Throughput::Bytes(size as u64));
+    group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, data| {
+        b.iter(|| fuzzy_hash_bytes_oracle(black_box(data)))
+    });
     group.finish();
 }
 

@@ -49,10 +49,25 @@ pub fn extract_strings(data: &[u8], min_len: usize) -> Vec<String> {
 
 /// The newline-joined byte stream of all printable runs — the input that the
 /// `ssdeep-strings` feature hashes (equivalent to `strings binary | ssdeep`).
+///
+/// Byte-identical to joining [`extract_strings`] with a newline after each
+/// run, in one pass: the loop only tracks the current run length and
+/// branches on the rare byte that ends a long-enough run, which is then
+/// copied straight from `data`.
 pub fn strings_blob(data: &[u8], min_len: usize) -> Vec<u8> {
+    let min_len = min_len.max(1);
     let mut out = Vec::new();
-    for s in extract_strings(data, min_len) {
-        out.extend_from_slice(s.as_bytes());
+    let mut run = 0;
+    for (i, &b) in data.iter().enumerate() {
+        let printable = is_printable(b);
+        if (run >= min_len) & !printable {
+            out.extend_from_slice(&data[i - run..i]);
+            out.push(b'\n');
+        }
+        run = (run + 1) * usize::from(printable);
+    }
+    if run >= min_len {
+        out.extend_from_slice(&data[data.len() - run..]);
         out.push(b'\n');
     }
     out

@@ -153,6 +153,50 @@ fn blob_matches_runs() {
     }
 }
 
+/// The one-pass `strings_blob` equals the runs of `extract_strings` each
+/// followed by a newline, for every minimum length 0–8, on random bytes
+/// drawn around the printable-class edges (tab, newline, 0x1F/0x20,
+/// 0x7E/0x7F) and on inputs whose last run reaches the end of the data.
+#[test]
+fn strings_blob_equals_joined_runs() {
+    const EDGES: [u8; 8] = [0x09, 0x0A, 0x1F, 0x20, 0x41, 0x7E, 0x7F, 0xFF];
+    let joined = |data: &[u8], min_len: usize| -> Vec<u8> {
+        let mut out = Vec::new();
+        for run in extract_strings(data, min_len) {
+            out.extend_from_slice(run.as_bytes());
+            out.push(b'\n');
+        }
+        out
+    };
+    let mut g = Gen(16);
+    for case in 0..96 {
+        let len = g.range(0, 1024);
+        let mut data: Vec<u8> = (0..len)
+            .map(|_| match g.range(0, 4) {
+                0 => g.next() as u8,
+                1 => EDGES[g.range(0, EDGES.len())],
+                _ => b'a' + g.range(0, 26) as u8,
+            })
+            .collect();
+        if case % 2 == 0 {
+            // End on a printable run of 0–9 bytes.
+            data.extend((0..g.range(0, 10)).map(|_| b'A' + g.range(0, 26) as u8));
+        }
+        for min_len in 0..=8 {
+            assert_eq!(
+                strings_blob(&data, min_len),
+                joined(&data, min_len),
+                "case {case}, min_len {min_len}"
+            );
+        }
+    }
+    for data in [&b""[..], b"abcd", b"\tabc", b"\x7f~~~~", b"\x1f    \x0a"] {
+        for min_len in 0..=8 {
+            assert_eq!(strings_blob(data, min_len), joined(data, min_len));
+        }
+    }
+}
+
 /// Parsing arbitrary bytes never panics: it returns Ok or a clean error.
 #[test]
 fn parser_never_panics() {

@@ -8,12 +8,20 @@
 //! a 0–100 similarity scale. This crate implements the complete machinery:
 //!
 //! * [`rolling_hash`] — the Adler-32-style rolling hash that makes chunk
-//!   boundaries *context triggered*.
+//!   boundaries *context triggered*; its value depends only on the last
+//!   seven bytes.
 //! * [`fnv`] — the FNV-style non-cryptographic chunk hash whose low bits
 //!   become signature characters.
 //! * [`blocksize`] — block-size selection and the iteration rule that keeps
 //!   signatures near 64 characters.
-//! * [`generate`] — [`FuzzyHash`] generation ([`fuzzy_hash_bytes`]).
+//! * [`generate`] — [`FuzzyHash`] generation. [`fuzzy_hash_bytes`] is a
+//!   one-pass engine: it rolls from the input itself (the byte leaving the
+//!   window is the one seven back), tests boundaries at block sizes
+//!   `3 << k` with a power-of-two mask before a `% 3`, and carries the
+//!   chunk hashes of the first two candidate block sizes side by side, so
+//!   the halve-and-rehash loop rarely runs a second pass.
+//!   [`fuzzy_hash_bytes_oracle`] is that loop, one chunking pass per block
+//!   size, kept as the reference the engine is tested byte-identical to.
 //! * [`edit_distance`] — Levenshtein, Damerau–Levenshtein (Eq. 1 of the
 //!   paper), and the weighted edit distance SSDeep scales into a score.
 //! * [`fastdist`] — the bounded comparison kernel: reusable DP scratch, a
@@ -71,5 +79,5 @@ pub use fastdist::{
     damerau_levenshtein_bitparallel, weighted_edit_distance_bounded, BoundedDistance,
     DistanceScratch,
 };
-pub use generate::{fuzzy_hash_bytes, FuzzyHash, SPAM_SUM_LENGTH};
+pub use generate::{fuzzy_hash_bytes, fuzzy_hash_bytes_oracle, FuzzyHash, SPAM_SUM_LENGTH};
 pub use prepared::{compare_prepared, compare_prepared_min, PreparedHash};

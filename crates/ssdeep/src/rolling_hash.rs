@@ -7,18 +7,57 @@
 //! recent content, inserting or deleting bytes early in a file does not shift
 //! every later boundary — which is exactly the property that makes the final
 //! signatures of two similar files comparable.
+//!
+//! The value is a function of the last [`ROLLING_WINDOW`] bytes alone
+//! (missing bytes count as zero before seven have been seen): `h1` is their
+//! sum, `h2` their sum weighted 7, 6, ..., 1 from newest to oldest, and `h3`
+//! shifts left by 5 per byte, so after seven shifts (35 bits) a byte has left
+//! the 32-bit word. Two inputs that end in the same seven bytes therefore
+//! have the same [`RollingHash::value`]. The generator relies on this: it
+//! reads the byte leaving the window from the input, seven positions back,
+//! instead of keeping a ring buffer.
 
 /// Number of bytes the rolling hash looks back over.
 pub const ROLLING_WINDOW: usize = 7;
 
-/// Rolling hash state (an Adler-32 style sum/shift/window combination, as in
-/// the original spamsum/SSDeep implementation).
-#[derive(Debug, Clone)]
-pub struct RollingHash {
-    window: [u8; ROLLING_WINDOW],
+/// The rolling sums without a window: the caller supplies the byte that
+/// leaves the window on each step.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Roll {
     h1: u32,
     h2: u32,
     h3: u32,
+}
+
+impl Roll {
+    /// Feed `byte`, dropping `dropped` (the byte [`ROLLING_WINDOW`]
+    /// positions back, or 0 while fewer have been fed), and return the
+    /// updated hash value.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, byte: u8, dropped: u8) -> u32 {
+        let b = u32::from(byte);
+        self.h2 = self
+            .h2
+            .wrapping_sub(self.h1)
+            .wrapping_add(ROLLING_WINDOW as u32 * b);
+        self.h1 = self.h1.wrapping_add(b).wrapping_sub(u32::from(dropped));
+        self.h3 = (self.h3 << 5) ^ b;
+        self.value()
+    }
+
+    /// The current hash value.
+    #[inline(always)]
+    pub(crate) fn value(&self) -> u32 {
+        self.h1.wrapping_add(self.h2).wrapping_add(self.h3)
+    }
+}
+
+/// Rolling hash state (an Adler-32 style sum/shift/window combination, as in
+/// the original spamsum/SSDeep implementation) with its own window.
+#[derive(Debug, Clone)]
+pub struct RollingHash {
+    window: [u8; ROLLING_WINDOW],
+    roll: Roll,
     n: usize,
 }
 
@@ -33,9 +72,7 @@ impl RollingHash {
     pub fn new() -> Self {
         Self {
             window: [0; ROLLING_WINDOW],
-            h1: 0,
-            h2: 0,
-            h3: 0,
+            roll: Roll::default(),
             n: 0,
         }
     }
@@ -43,29 +80,16 @@ impl RollingHash {
     /// Feed one byte and return the updated hash value.
     #[inline]
     pub fn update(&mut self, byte: u8) -> u32 {
-        let b = u32::from(byte);
-        let dropped = u32::from(self.window[self.n % ROLLING_WINDOW]);
-
-        self.h2 = self.h2.wrapping_sub(self.h1);
-        self.h2 = self.h2.wrapping_add(ROLLING_WINDOW as u32 * b);
-
-        self.h1 = self.h1.wrapping_add(b);
-        self.h1 = self.h1.wrapping_sub(dropped);
-
-        self.window[self.n % ROLLING_WINDOW] = byte;
+        let slot = &mut self.window[self.n % ROLLING_WINDOW];
+        let dropped = std::mem::replace(slot, byte);
         self.n += 1;
-
-        // h3 is a shift/xor over the window; it reacts quickly to the most
-        // recent bytes and slowly forgets older ones.
-        self.h3 = (self.h3 << 5) ^ b;
-
-        self.value()
+        self.roll.step(byte, dropped)
     }
 
     /// The current hash value.
     #[inline]
     pub fn value(&self) -> u32 {
-        self.h1.wrapping_add(self.h2).wrapping_add(self.h3)
+        self.roll.value()
     }
 
     /// Number of bytes consumed so far.
@@ -104,19 +128,30 @@ mod tests {
     #[test]
     fn depends_only_on_recent_window() {
         // Two inputs with identical last ROLLING_WINDOW bytes but different
-        // long prefixes: h1 and h2 depend on the window contents only, and h3
-        // effectively forgets bytes older than ~6 shifts (32-bit shifts of 5).
-        // The full value may differ because h3 mixes older bytes, so we check
-        // the window-derived components (h1) instead.
-        let mut a = RollingHash::new();
-        let mut b = RollingHash::new();
-        for &x in b"AAAAAAAAAAAAAAAAAAAAAAAAAAAAsuffix7" {
-            a.update(x);
+        // prefixes of different lengths have the same full value: h1 and h2
+        // are sums over the window, and h3 has shifted every older byte out.
+        let a = roll_over(b"AAAAAAAAAAAAAAAAAAAAAAAAAAAAsuffix7");
+        let b = roll_over(b"\xff\xfe\xfd\x00BBBBBBBBBBBBsuffix7");
+        assert_eq!(a, b, "the value must depend only on the last 7 bytes");
+        // An input of exactly the window agrees too, and so does a shorter
+        // one padded with the zeros that stand in for unseen bytes.
+        assert_eq!(roll_over(b"suffix7"), a);
+        assert_eq!(roll_over(b"\0\0\0fix7"), roll_over(b"fix7"));
+    }
+
+    #[test]
+    fn windowless_step_matches_the_windowed_hash() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 % 256) as u8).collect();
+        let mut rh = RollingHash::new();
+        let mut roll = Roll::default();
+        for (i, &b) in data.iter().enumerate() {
+            let dropped = if i >= ROLLING_WINDOW {
+                data[i - ROLLING_WINDOW]
+            } else {
+                0
+            };
+            assert_eq!(rh.update(b), roll.step(b, dropped), "byte {i}");
         }
-        for &x in b"BBBBBBBBBBBBBBBBsuffix7" {
-            b.update(x);
-        }
-        assert_eq!(a.h1, b.h1, "h1 must depend only on the last 7 bytes");
     }
 
     #[test]
@@ -139,6 +174,6 @@ mod tests {
         let expected: u32 = ((ROLLING_WINDOW * 2)..(ROLLING_WINDOW * 3))
             .map(|i| (i % 251) as u32)
             .sum();
-        assert_eq!(rh.h1, expected);
+        assert_eq!(rh.roll.h1, expected);
     }
 }

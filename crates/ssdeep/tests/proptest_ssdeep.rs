@@ -3,9 +3,13 @@
 //! `proptest` these tests drive the same properties with a seeded SplitMix64
 //! generator over a fixed number of cases.
 
+use binary::elf::{ElfBuilder, ElfFile};
+use binary::strings::strings_blob;
+use binary::symbols::symbols_blob;
+use ssdeep::blocksize::initial_blocksize;
 use ssdeep::{
-    compare, compare_prepared, damerau_levenshtein, fuzzy_hash_bytes, levenshtein,
-    weighted_edit_distance, FuzzyHash, PreparedHash,
+    compare, compare_prepared, damerau_levenshtein, fuzzy_hash_bytes, fuzzy_hash_bytes_oracle,
+    levenshtein, weighted_edit_distance, FuzzyHash, PreparedHash,
 };
 
 /// SplitMix64 — the deterministic case generator for these tests.
@@ -38,6 +42,99 @@ impl Gen {
             .map(|_| ALPHABET[self.range(0, ALPHABET.len())] as char)
             .collect()
     }
+}
+
+/// Asserts the engine equals the oracle on `data`; returns whether the
+/// chosen block size is at least two halvings below the initial estimate
+/// (the oracle's third pass or later, the engine's fallback).
+fn assert_engine_equals_oracle(data: &[u8], what: &str) -> bool {
+    let engine = fuzzy_hash_bytes(data);
+    let oracle = fuzzy_hash_bytes_oracle(data);
+    assert_eq!(engine, oracle, "{what} (len {})", data.len());
+    engine.block_size() <= initial_blocksize(data.len()) / 4
+}
+
+/// The one-pass engine is byte-identical to the halve-and-rehash oracle at
+/// every block-size class: tiny inputs, lengths on either side of each
+/// initial-block-size step, random and patterned content, low-entropy
+/// content that misses the first two candidates, and real ELF images with
+/// their strings and symbols views.
+#[test]
+fn engine_equals_oracle() {
+    let mut g = Gen(13);
+    let mut deep = 0;
+    let mut check =
+        |data: &[u8], what: &str| deep += usize::from(assert_engine_equals_oracle(data, what));
+
+    check(b"", "empty");
+    for len in 1..=8 {
+        for _ in 0..16 {
+            let data: Vec<u8> = (0..len).map(|_| g.next() as u8).collect();
+            check(&data, "tiny random");
+        }
+        check(&vec![0; len], "tiny zeros");
+        check(&vec![0xFF; len], "tiny ones");
+    }
+
+    // `initial_blocksize` steps from 3 << k to 3 << (k + 1) between
+    // `(3 << k) * 64` and one byte more.
+    for k in 0..=14u32 {
+        let step = (3usize << k) * 64;
+        for len in [step - 1, step, step + 1] {
+            let random: Vec<u8> = (0..len).map(|_| g.next() as u8).collect();
+            check(&random, "random at a block-size step");
+            // Low entropy costs the oracle a pass per halving: keep it small.
+            if k <= 8 {
+                let ramp: Vec<u8> = (0..len).map(|i| (i / 300) as u8).collect();
+                check(&ramp, "slow ramp at a block-size step");
+            }
+        }
+    }
+
+    for _ in 0..16 {
+        let len = g.range(0, 100_000);
+        let random: Vec<u8> = (0..len).map(|_| g.next() as u8).collect();
+        check(&random, "random");
+        let stride = g.next() | 1;
+        let patterned: Vec<u8> = (0..len as u64)
+            .map(|i| (i.wrapping_mul(stride) >> 3) as u8)
+            .collect();
+        check(&patterned, "patterned");
+        let period = g.range(1, 64);
+        let repeated: Vec<u8> = (0..len).map(|i| (i % period) as u8 ^ 0x5A).collect();
+        check(&repeated, "periodic");
+    }
+
+    for len in [100, 1_000, 10_000, 100_000] {
+        check(&vec![0; len], "zeros");
+        let mod3: Vec<u8> = (0..len).map(|i| (i % 3) as u8).collect();
+        check(&mod3, "x % 3");
+        let ramp: Vec<u8> = (0..len).map(|i| (i / 300) as u8).collect();
+        check(&ramp, "slow ramp");
+    }
+
+    for _ in 0..16 {
+        let mut b = ElfBuilder::new();
+        b.add_text_section(g.bytes(0, 60_000));
+        let rodata: Vec<u8> = (0..g.range(0, 400))
+            .flat_map(|i| format!("message {i} from {}\0", g.next()).into_bytes())
+            .collect();
+        b.add_rodata_section(rodata);
+        for i in 0..g.range(0, 200) {
+            b.add_global_function(
+                &format!("kernel_{i}_{}", g.next() % 1000),
+                i as u64 * 16,
+                16,
+            );
+        }
+        let bytes = b.build();
+        check(&bytes, "ELF file view");
+        check(&strings_blob(&bytes, 4), "ELF strings view");
+        let elf = ElfFile::parse(&bytes).expect("built ELF must parse");
+        check(&symbols_blob(&elf), "ELF symbols view");
+    }
+
+    assert!(deep > 0, "no case reached the engine's fallback passes");
 }
 
 /// Hashing is deterministic and the textual form round-trips.
