@@ -11,15 +11,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fhc::artifact::ArtifactDelta;
-use fhc::backend::{round_robin_partition, BackendConfig};
+use fhc::backend::{round_robin_partition, BackendConfig, SimilarityBackend};
 use fhc::features::{PreparedSampleFeatures, SampleFeatures};
 use fhc::pipeline::FuzzyHashClassifier;
 use fhc::serving::Prediction;
 use fhc::shardnet::wire::{self, Frame};
 use fhc::shardnet::worker::{serve_host_tcp, serve_tcp};
 use fhc::shardnet::{
-    gateway, Endpoint, FleetBackend, FleetShard, FleetTopology, FleetView, Gateway, GatewayBackend,
-    GatewayOptions, RemoteBackend, ShardWorker, TenantHost, Transport,
+    gateway, Endpoint, FleetBackend, FleetShard, FleetTopology, FleetView, Gateway, GatewayOptions,
+    ShardWorker, TenantHost, Transport,
 };
 use fhc::threshold::{apply_threshold, UNKNOWN_LABEL};
 use fhc_bench::{bench_config, bench_corpus};
@@ -31,8 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Spawn `n` in-process loopback shard workers over the classifier's
-/// reference set and return a `remote:` backend configuration for them.
-/// The accept threads live for the rest of the process.
+/// reference set and return a `remote:` backend configuration for them (a
+/// fleet of replica-less shards). The accept threads live for the rest of
+/// the process.
 fn loopback_remote(trained: &fhc::serving::TrainedClassifier, n: usize) -> BackendConfig {
     let endpoints: Vec<Endpoint> = (0..n)
         .map(|_| {
@@ -117,8 +118,8 @@ fn delayed_link(upstream: Endpoint, delay: std::time::Duration) -> Endpoint {
 /// The pre-mux remote client, kept bench-local as the pipelining baseline:
 /// one connection per worker guarded by a mutex that is **held across the
 /// whole round trip**, workers visited serially per query. This is exactly
-/// how `RemoteBackend` serialized concurrent callers before it moved to a
-/// connection multiplexer, so the `serving/gateway` group measures what
+/// how the remote client serialized concurrent callers before it moved to
+/// a connection multiplexer, so the `serving/gateway` group measures what
 /// the mux + gateway batching actually buy at N concurrent clients.
 struct MutexedRemote {
     workers: Vec<Mutex<Box<dyn Transport>>>,
@@ -268,29 +269,15 @@ fn bench_classify_batch(c: &mut Criterion) {
     });
     group.finish();
 
-    // Sharded (persistent worker pool) vs indexed vs scan vs loopback
-    // remote: the same classify_batch traffic under each similarity
-    // backend (backend choice is runtime-only and score-identical, so this
-    // group measures pure scheduling/transport overhead — what per-query
-    // class sharding costs or buys, and what putting the shards behind a
-    // socket adds on top).
+    // Indexed vs scan vs loopback remote: the same classify_batch traffic
+    // under each similarity backend (backend choice is runtime-only and
+    // score-identical, so this group measures pure scheduling/transport
+    // overhead — what putting class shards behind a socket adds).
     let mut group = c.benchmark_group("serving/backends");
     group.sample_size(10);
     group.throughput(Throughput::Elements(batch.len() as u64));
     for (label, backend) in [
         ("classify_batch_indexed", BackendConfig::Indexed),
-        (
-            "classify_batch_sharded_pooled_2",
-            BackendConfig::Sharded { shards: 2 },
-        ),
-        (
-            "classify_batch_sharded_pooled_4",
-            BackendConfig::Sharded { shards: 4 },
-        ),
-        (
-            "classify_batch_sharded_pooled_auto",
-            BackendConfig::Sharded { shards: 0 },
-        ),
         (
             "classify_batch_remote_loopback_2",
             loopback_remote(&trained, 2),
@@ -304,44 +291,45 @@ fn bench_classify_batch(c: &mut Criterion) {
     }
     group.finish();
 
-    // Single-query latency per backend: where per-query fan-out is meant
-    // to shine (one query split across shard workers). The pooled sharded
-    // backend replaces PR 3's per-query scoped-thread spawns; the loopback
-    // remote number is the wire tax on the same partition/max-merge
-    // contract.
+    // Single-query latency, extraction included.
     let mut group = c.benchmark_group("serving/single");
     group.throughput(Throughput::Elements(1));
     group.bench_function("classify_one", |b| {
         b.iter(|| trained.classify(black_box(&batch[0].1)))
     });
-    let sharded = trained
-        .clone()
-        .with_backend(BackendConfig::Sharded { shards: 0 });
-    group.bench_function("classify_one_sharded_pooled_auto", |b| {
-        b.iter(|| sharded.classify(black_box(&batch[0].1)))
-    });
     group.finish();
 
-    // Remote serving in isolation: loopback-remote vs pooled-sharded vs
-    // indexed on identical single-query traffic. Everything above the
-    // indexed number is scheduling (sharded) or scheduling + framing +
-    // syscalls (remote).
+    // Remote serving in isolation: loopback-remote vs indexed on identical
+    // single-query traffic. Everything above the indexed number is
+    // scheduling + framing + syscalls. The `classify_one_*` labels include
+    // extraction; the `score_one_prehashed_*` labels score one prepared
+    // query's similarity row and nothing else, so the transport is most of
+    // what they measure.
     let mut group = c.benchmark_group("serving/remote");
     group.sample_size(10);
     group.throughput(Throughput::Elements(1));
     group.bench_function("classify_one_indexed", |b| {
         b.iter(|| trained.classify(black_box(&batch[0].1)))
     });
-    let sharded2 = trained
-        .clone()
-        .with_backend(BackendConfig::Sharded { shards: 2 });
-    group.bench_function("classify_one_sharded_pooled_2", |b| {
-        b.iter(|| sharded2.classify(black_box(&batch[0].1)))
+    let prehashed = PreparedSampleFeatures::prepare(&features[0]);
+    let mut row = vec![0.0f64; trained.reference().n_columns()];
+    let indexed = BackendConfig::Indexed.build(trained.reference_shared());
+    group.bench_function("score_one_prehashed_indexed", |b| {
+        b.iter(|| indexed.max_scores_into(black_box(&prehashed), &mut row))
     });
     for workers in [1usize, 2, 4] {
-        let remote = trained
-            .clone()
-            .with_backend(loopback_remote(&trained, workers));
+        let remote_config = loopback_remote(&trained, workers);
+        if workers <= 2 {
+            let remote = remote_config.build(trained.reference_shared());
+            group.bench_function(format!("score_one_prehashed_loopback_{workers}"), |b| {
+                b.iter(|| {
+                    remote
+                        .try_max_scores_into(black_box(&prehashed), &mut row)
+                        .expect("workers alive")
+                })
+            });
+        }
+        let remote = trained.clone().with_backend(remote_config);
         group.bench_function(format!("classify_one_remote_loopback_{workers}"), |b| {
             b.iter(|| remote.classify(black_box(&batch[0].1)))
         });
@@ -351,8 +339,8 @@ fn bench_classify_batch(c: &mut Criterion) {
     // The gateway tier vs the pre-mux baseline: identical probes, identical
     // two-worker fleets, scored concurrently by 1/2/4 client threads. The
     // mutexed baseline serializes callers behind per-connection locks held
-    // across round trips; the pipelined RemoteBackend multiplexes them over
-    // the same sockets; the gateway additionally coalesces the concurrent
+    // across round trips; the pipelined `remote:` fleet multiplexes them
+    // over the same sockets; the gateway additionally coalesces the concurrent
     // queries into batched wire frames per shard. Raw rows (no extraction,
     // no forest) so the transport difference is what is measured.
     let reference = trained.reference_shared();
@@ -378,8 +366,16 @@ fn bench_classify_batch(c: &mut Criterion) {
         .into_iter()
         .map(|ep| delayed_link(ep, wan))
         .collect();
-    let pipelined = RemoteBackend::connect(reference.clone(), &batched_endpoints)
-        .expect("pipelined remote connects");
+    let pipelined = FleetBackend::connect(
+        reference.clone(),
+        FleetTopology::new(
+            batched_endpoints
+                .into_iter()
+                .map(FleetShard::solo)
+                .collect(),
+        ),
+    )
+    .expect("pipelined remote connects");
     let front = {
         let gw = Gateway::connect(
             reference.clone(),
@@ -393,8 +389,11 @@ fn bench_classify_batch(c: &mut Criterion) {
         std::thread::spawn(move || gateway::serve_tcp(gw, listener));
         delayed_link(endpoint, wan)
     };
-    let through_gateway =
-        GatewayBackend::connect(reference.clone(), &front).expect("gateway backend connects");
+    let through_gateway = FleetBackend::connect(
+        reference.clone(),
+        FleetTopology::new(vec![FleetShard::solo(front)]),
+    )
+    .expect("gateway backend connects");
 
     let mut group = c.benchmark_group("serving/gateway");
     group.sample_size(10);
@@ -521,11 +520,14 @@ fn bench_classify_batch(c: &mut Criterion) {
         }
         spawn_host(host)
     };
-    let one_tenant = RemoteBackend::connect(reference.clone(), std::slice::from_ref(&single_ep))
-        .expect("single-tenant daemon serves the default tenant");
-    let four_tenants = RemoteBackend::connect_tenant(
+    let one_tenant = FleetBackend::connect(
         reference.clone(),
-        std::slice::from_ref(&multi_ep),
+        FleetTopology::new(vec![FleetShard::solo(single_ep)]),
+    )
+    .expect("single-tenant daemon serves the default tenant");
+    let four_tenants = FleetBackend::connect_tenant(
+        reference.clone(),
+        FleetTopology::new(vec![FleetShard::solo(multi_ep)]),
         Some("gamma"),
     )
     .expect("multi-tenant daemon routes the connection");

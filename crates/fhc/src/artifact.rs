@@ -1394,11 +1394,19 @@ mod tests {
             .step_by(37)
             .map(|s| corpus.generate_bytes(s))
             .collect();
-        for backend in [
-            BackendConfig::Scan,
-            BackendConfig::Sharded { shards: 2 },
-            BackendConfig::Sharded { shards: 0 },
-        ] {
+        // Two loopback workers serving the same artifact, as a fleet.
+        let fleet = BackendConfig::remote((0..2).map(|_| {
+            let listener =
+                std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
+            let endpoint =
+                crate::shardnet::Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+            let worker = std::sync::Arc::new(crate::shardnet::ShardWorker::all_classes(
+                original.reference_shared(),
+            ));
+            std::thread::spawn(move || crate::shardnet::worker::serve_tcp(worker, listener));
+            endpoint
+        }));
+        for backend in [BackendConfig::Scan, fleet.clone()] {
             let config = FhcConfig::new().backend(backend.clone());
             let opened =
                 TrainedClassifier::from_bytes_with(&bytes, &config).expect("decode with backend");
@@ -1421,17 +1429,11 @@ mod tests {
             std::process::id()
         ));
         original.save(&path).expect("save");
-        let sharded = TrainedClassifier::load_with(
-            &path,
-            &FhcConfig::new().backend(BackendConfig::Sharded { shards: 3 }),
-        )
-        .expect("load_with");
+        let remote = TrainedClassifier::load_with(&path, &FhcConfig::new().backend(fleet.clone()))
+            .expect("load_with");
         std::fs::remove_file(&path).ok();
-        assert_eq!(
-            sharded.backend_config(),
-            BackendConfig::Sharded { shards: 3 }
-        );
-        assert_eq!(sharded.classify(&probes[0]), baseline.classify(&probes[0]));
+        assert_eq!(remote.backend_config(), fleet);
+        assert_eq!(remote.classify(&probes[0]), baseline.classify(&probes[0]));
     }
 
     #[test]

@@ -18,29 +18,19 @@
 //!   reference that cannot beat the class's best match so far is abandoned
 //!   mid-DP (`ssdeep::compare_prepared_min` over the banded
 //!   `ssdeep::fastdist` kernel). The default.
-//! * [`ShardedBackend`] — the indexed scoring, with the reference *classes*
-//!   partitioned across N shards scored on a **persistent worker pool**
-//!   ([`hpcutil::WorkerPool`]) and their partial rows max-merged. This
-//!   parallelizes a *single* query (latency), where the batch helpers
-//!   parallelize across queries (throughput). Inside a parallel batch
-//!   worker the shards are scored serially instead — the batch is already
-//!   the parallel axis, and nesting `serving workers x shards` threads
-//!   would only add scheduling overhead.
-//! * [`RemoteBackend`] — the same
-//!   partition/max-merge contract with the shards behind a transport: each
-//!   partial row is computed by a shard worker process (`fhc-shardd`) over
-//!   a persistent socket. See [`crate::shardnet`].
-//! * [`GatewayBackend`] — remote scoring through an `fhc-gateway` front
-//!   door, which coalesces concurrently arriving queries into batched
-//!   wire frames per shard. See [`crate::shardnet::gateway`].
+//! * [`FleetBackend`] — the reference *classes* partitioned across shard
+//!   worker processes (`fhc-shardd`, or an `fhc-gateway` front door) behind
+//!   persistent sockets, each query's partial rows max-merged, with replicas
+//!   raced by hedged requests. The `remote:`, `gateway:` and `fleet:` specs
+//!   all build one. See [`crate::shardnet`].
 //!
 //! All are **score-identical by construction**: they assemble rows from the
 //! same per-cell scoring primitives on the same [`ReferenceSet`], differing
 //! only in indexing and scheduling. The indexed primitive prunes with each
 //! cell's running maximum as a score budget; max-pruning is exact for
 //! max-merge (an abandoned comparison could not have changed the cell's
-//! maximum), so sharding and remoting — which max-merge disjoint partial
-//! rows — inherit the pruning untouched. Seeded equivalence suites (in this
+//! maximum), so the fleet — which max-merges disjoint partial rows —
+//! inherits the pruning untouched. Seeded equivalence suites (in this
 //! module, `tests/integration_backends.rs`, and
 //! `tests/integration_remote.rs`) enforce byte-identical rows and
 //! predictions.
@@ -49,16 +39,16 @@
 //! [`ServingConfig`](crate::serving::ServingConfig): it is never persisted,
 //! and a stored artifact can be opened under any backend (see
 //! [`TrainedClassifier::load_with`](crate::serving::TrainedClassifier::load_with)).
-//! Only remote backends can fail after construction (their workers are
-//! separate processes); [`SimilarityBackend::try_max_scores_into`] is the
+//! Only the fleet can fail after construction (its workers are separate
+//! processes); [`SimilarityBackend::try_max_scores_into`] is the
 //! fallible twin of `max_scores_into` that surfaces those failures as typed
 //! errors instead of panics.
 
 use crate::error::FhcError;
 use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
-use crate::shardnet::{Endpoint, FleetBackend, FleetTopology, GatewayBackend, RemoteBackend};
+use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology};
 use crate::similarity::ReferenceSet;
-use hpcutil::{in_parallel_worker, par_map_indexed, ParallelConfig, WorkerPool};
+use hpcutil::{par_map_indexed, ParallelConfig};
 use std::sync::Arc;
 
 /// A strategy for scoring query samples against a [`ReferenceSet`].
@@ -234,10 +224,9 @@ impl SimilarityBackend for IndexedBackend {
 /// to shard `i % n_shards`).
 ///
 /// This is **the** partition rule of the sharded topologies: it is shared
-/// by [`ShardedBackend`], by [`RemoteBackend::connect`]'s auto-assignment
-/// of unpartitioned workers, and by `fhc-shardd --shard i/n` — so an
-/// in-process shard, a loopback worker, and a remote daemon all agree on
-/// which classes shard `i` owns.
+/// by [`FleetBackend`], which deals the classes across its shards in
+/// topology order, and by `fhc-shardd --shard i/n` — so a fleet over
+/// `--shard` daemons listed in order needs no `Assign` at all.
 pub fn round_robin_partition(n_classes: usize, n_shards: usize) -> Vec<Vec<usize>> {
     let n_shards = n_shards.max(1);
     let mut partition: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
@@ -245,126 +234,6 @@ pub fn round_robin_partition(n_classes: usize, n_shards: usize) -> Vec<Vec<usize
         partition[class % n_shards].push(class);
     }
     partition
-}
-
-/// The indexed scoring with the reference classes partitioned across shards
-/// that score one query in parallel.
-///
-/// Classes are dealt round-robin across shards
-/// ([`round_robin_partition`]), each shard scores its classes'
-/// `(view, class)` cells through the same block-size-bucketed index as
-/// [`IndexedBackend`], and the partial per-class rows are max-merged into
-/// the output row. Shards touch disjoint classes, so the max-merge is
-/// trivially conflict-free and the result is score-identical to the other
-/// backends by construction.
-///
-/// Shards run on a **persistent worker pool** created once per backend (and
-/// shared by clones), so a query costs channel sends instead of thread
-/// spawns. When scoring happens *inside* a parallel batch worker
-/// (`classify_batch`, `feature_matrix`), the shards are scored serially on
-/// the batch worker instead: the batch is already using every core, and
-/// per-query fan-out there would only multiply threads
-/// (`serving workers x shards`) without adding parallelism.
-#[derive(Debug, Clone)]
-pub struct ShardedBackend {
-    reference: Arc<ReferenceSet>,
-    /// The shard count as requested (before clamping), so the configuration
-    /// round-trips through [`AnyBackend::config`].
-    requested: usize,
-    /// Known-class ids per shard (round-robin partition; every shard
-    /// non-empty unless there are no classes at all). Shared with the pool
-    /// jobs.
-    shards: Arc<Vec<Vec<usize>>>,
-    /// Persistent shard workers; `None` for the degenerate single-shard
-    /// backend, which scores inline.
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl ShardedBackend {
-    /// A sharded backend over `reference` with `shards` partitions. `0`
-    /// means "one shard per available hardware thread"; the effective count
-    /// is clamped to the number of known classes (a shard with no classes
-    /// would just idle).
-    pub fn new(reference: Arc<ReferenceSet>, shards: usize) -> Self {
-        let requested = shards;
-        let hw = if shards == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            shards
-        };
-        let n_shards = hw.clamp(1, reference.n_classes().max(1));
-        let partition = round_robin_partition(reference.n_classes(), n_shards);
-        Self {
-            reference,
-            requested,
-            shards: Arc::new(partition),
-            pool: (n_shards > 1).then(|| Arc::new(WorkerPool::new(n_shards))),
-        }
-    }
-
-    /// The effective number of shards (after clamping to the class count).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The known-class ids owned by one shard.
-    pub fn shard_classes(&self, shard: usize) -> &[usize] {
-        &self.shards[shard]
-    }
-
-    /// The partial row of one shard: `(column, score)` cells for every
-    /// `(view, class)` the shard owns.
-    fn shard_partial(&self, shard: usize, query: &PreparedSampleFeatures) -> Vec<(usize, f64)> {
-        shard_partial(&self.reference, &self.shards[shard], query)
-    }
-}
-
-/// The partial row of one class partition (free function so pool jobs can
-/// run it from `'static` closures over `Arc`s), through the inverted gram
-/// index restricted to the shard's classes.
-fn shard_partial(
-    reference: &ReferenceSet,
-    classes: &[usize],
-    query: &PreparedSampleFeatures,
-) -> Vec<(usize, f64)> {
-    reference.partial_row_cells(classes, query)
-}
-
-impl SimilarityBackend for ShardedBackend {
-    fn reference(&self) -> &ReferenceSet {
-        &self.reference
-    }
-
-    fn max_scores_into(&self, query: &PreparedSampleFeatures, out: &mut [f64]) {
-        assert_eq!(out.len(), self.reference.n_columns(), "row width mismatch");
-        out.fill(0.0);
-        match &self.pool {
-            // Score shards on the persistent pool — unless this query is
-            // already running on a parallel worker (a batch worker or a
-            // pool thread), where serial scoring is both faster and
-            // deadlock-free.
-            Some(pool) if !in_parallel_worker() => {
-                let reference = Arc::clone(&self.reference);
-                let shards = Arc::clone(&self.shards);
-                let query = Arc::new(query.clone());
-                let partials = pool.run_indexed(self.shards.len(), move |shard| {
-                    shard_partial(&reference, &shards[shard], &query)
-                });
-                for (col, score) in partials.into_iter().flatten() {
-                    out[col] = out[col].max(score);
-                }
-            }
-            _ => {
-                for shard in 0..self.shards.len() {
-                    for (col, score) in self.shard_partial(shard, query) {
-                        out[col] = out[col].max(score);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Runtime selection of the similarity backend.
@@ -381,31 +250,10 @@ pub enum BackendConfig {
     /// The prepared block-size-bucketed index ([`IndexedBackend`]).
     #[default]
     Indexed,
-    /// The class-sharded parallel index ([`ShardedBackend`]).
-    Sharded {
-        /// Number of shards; `0` means one per available hardware thread.
-        shards: usize,
-    },
-    /// Shard workers behind a transport
-    /// ([`RemoteBackend`]).
-    Remote {
-        /// The worker endpoints to fan out across.
-        endpoints: Vec<Endpoint>,
-        /// The tenant to select on every worker (`tenant=NAME` in the
-        /// spec); `None` expects the default tenant.
-        tenant: Option<String>,
-    },
-    /// A batching `fhc-gateway` front door fronting the shard fleet
-    /// ([`GatewayBackend`]).
-    Gateway {
-        /// The gateway endpoint to score through.
-        endpoint: Endpoint,
-        /// The tenant to select on the gateway; `None` expects the
-        /// default tenant.
-        tenant: Option<String>,
-    },
-    /// A self-healing shard fleet with replicas, hedged requests, and
-    /// reference push ([`FleetBackend`]).
+    /// Shard workers behind a transport ([`FleetBackend`]): a
+    /// self-healing fleet with replicas, hedged requests, and reference
+    /// push. The `remote:` and `gateway:` specs are spellings of a fleet of
+    /// replica-less shards.
     Fleet {
         /// The declared topology: shards and their replicas.
         topology: FleetTopology,
@@ -416,33 +264,23 @@ pub enum BackendConfig {
 }
 
 impl BackendConfig {
-    /// A remote configuration over `endpoints` (default tenant).
+    /// A fleet of replica-less shards over `endpoints`, in order (default
+    /// tenant) — what the `remote:EP[,EP...]` spec parses to.
     pub fn remote(endpoints: impl IntoIterator<Item = Endpoint>) -> Self {
-        BackendConfig::Remote {
-            endpoints: endpoints.into_iter().collect(),
+        BackendConfig::Fleet {
+            topology: FleetTopology::new(endpoints.into_iter().map(FleetShard::solo).collect()),
             tenant: None,
         }
     }
 
     /// Build the selected backend over `reference`.
     ///
-    /// Only remote construction can fail (dialing and validating the worker
+    /// Only fleet construction can fail (dialing and validating the worker
     /// handshakes); the in-process backends always succeed.
     pub fn try_build(&self, reference: Arc<ReferenceSet>) -> Result<AnyBackend, FhcError> {
         Ok(match self {
             BackendConfig::Scan => AnyBackend::Scan(ScanBackend::new(reference)),
             BackendConfig::Indexed => AnyBackend::Indexed(IndexedBackend::new(reference)),
-            BackendConfig::Sharded { shards } => {
-                AnyBackend::Sharded(ShardedBackend::new(reference, *shards))
-            }
-            BackendConfig::Remote { endpoints, tenant } => AnyBackend::Remote(
-                RemoteBackend::connect_tenant(reference, endpoints, tenant.as_deref())
-                    .map_err(FhcError::Net)?,
-            ),
-            BackendConfig::Gateway { endpoint, tenant } => AnyBackend::Gateway(
-                GatewayBackend::connect_tenant(reference, endpoint, tenant.as_deref())
-                    .map_err(FhcError::Net)?,
-            ),
             BackendConfig::Fleet { topology, tenant } => AnyBackend::Fleet(
                 FleetBackend::connect_tenant(reference, topology.clone(), tenant.as_deref())
                     .map_err(FhcError::Net)?,
@@ -450,8 +288,8 @@ impl BackendConfig {
         })
     }
 
-    /// Build the selected backend over `reference`, panicking if a remote
-    /// topology cannot be connected (use [`BackendConfig::try_build`] to
+    /// Build the selected backend over `reference`, panicking if a fleet
+    /// cannot be connected (use [`BackendConfig::try_build`] to
     /// handle that case).
     pub fn build(&self, reference: Arc<ReferenceSet>) -> AnyBackend {
         self.try_build(reference)
@@ -460,38 +298,17 @@ impl BackendConfig {
 }
 
 impl std::fmt::Display for BackendConfig {
+    /// The canonical spec: parsing it gives back an equal configuration.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendConfig::Scan => f.write_str("scan"),
             BackendConfig::Indexed => f.write_str("indexed"),
-            BackendConfig::Sharded { shards: 0 } => f.write_str("sharded(auto)"),
-            BackendConfig::Sharded { shards } => write!(f, "sharded({shards})"),
-            BackendConfig::Remote { endpoints, tenant } => {
-                f.write_str("remote(")?;
-                for (i, endpoint) in endpoints.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{endpoint}")?;
-                }
-                if let Some(tenant) = tenant {
-                    write!(f, ";tenant={tenant}")?;
-                }
-                f.write_str(")")
-            }
-            BackendConfig::Gateway { endpoint, tenant } => {
-                write!(f, "gateway({endpoint}")?;
-                if let Some(tenant) = tenant {
-                    write!(f, ";tenant={tenant}")?;
-                }
-                f.write_str(")")
-            }
             BackendConfig::Fleet { topology, tenant } => {
-                write!(f, "fleet({topology}")?;
+                write!(f, "fleet:{topology}")?;
                 if let Some(tenant) = tenant {
                     write!(f, ";tenant={tenant}")?;
                 }
-                f.write_str(")")
+                Ok(())
             }
         }
     }
@@ -500,10 +317,12 @@ impl std::fmt::Display for BackendConfig {
 impl std::str::FromStr for BackendConfig {
     type Err = String;
 
-    /// Parse a command-line backend spec: `scan`, `indexed`, `sharded`,
-    /// `sharded:N` (`N = 0` or `sharded` alone means auto), or
-    /// `remote:EP[,EP...]` with endpoints as accepted by
-    /// `Endpoint` parsing (`tcp:HOST:PORT`, `HOST:PORT`, `unix:PATH`).
+    /// Parse a command-line backend spec: `scan`, `indexed`,
+    /// `fleet:EP[;replica=EP[,EP...]][;EP...]`, or one of its two
+    /// replica-less spellings — `remote:EP[,EP...]` (one shard per
+    /// endpoint, in order) and `gateway:EP` (one shard owning every class).
+    /// Endpoints are as accepted by `Endpoint` parsing (`tcp:HOST:PORT`,
+    /// `HOST:PORT`, `unix:PATH`).
     ///
     /// The networked specs accept a `;tenant=NAME` item anywhere in their
     /// `;`-separated payload — `remote:h:9000;tenant=acme`,
@@ -514,30 +333,26 @@ impl std::str::FromStr for BackendConfig {
         match s {
             "scan" => return Ok(BackendConfig::Scan),
             "indexed" => return Ok(BackendConfig::Indexed),
-            "sharded" => return Ok(BackendConfig::Sharded { shards: 0 }),
             _ => {}
-        }
-        if let Some(count) = s.strip_prefix("sharded:") {
-            let shards = count
-                .parse::<usize>()
-                .map_err(|e| format!("invalid shard count {count:?}: {e}"))?;
-            return Ok(BackendConfig::Sharded { shards });
         }
         if let Some(list) = s.strip_prefix("remote:") {
             let (rest, tenant) = split_tenant(list)?;
-            let endpoints = rest
+            let shards = rest
                 .split(',')
-                .map(|e| e.trim().parse::<Endpoint>())
+                .map(|e| e.trim().parse::<Endpoint>().map(FleetShard::solo))
                 .collect::<Result<Vec<_>, _>>()?;
-            if endpoints.is_empty() {
-                return Err("remote backend needs at least one endpoint".into());
-            }
-            return Ok(BackendConfig::Remote { endpoints, tenant });
+            return Ok(BackendConfig::Fleet {
+                topology: FleetTopology::new(shards),
+                tenant,
+            });
         }
         if let Some(spec) = s.strip_prefix("gateway:") {
             let (rest, tenant) = split_tenant(spec)?;
             let endpoint = rest.trim().parse::<Endpoint>()?;
-            return Ok(BackendConfig::Gateway { endpoint, tenant });
+            return Ok(BackendConfig::Fleet {
+                topology: FleetTopology::new(vec![FleetShard::solo(endpoint)]),
+                tenant,
+            });
         }
         if let Some(spec) = s.strip_prefix("fleet:") {
             let (rest, tenant) = split_tenant(spec)?;
@@ -545,7 +360,7 @@ impl std::str::FromStr for BackendConfig {
             return Ok(BackendConfig::Fleet { topology, tenant });
         }
         Err(format!(
-            "unknown backend {s:?}: expected scan, indexed, sharded[:N], \
+            "unknown backend {s:?}: expected scan, indexed, \
              remote:EP[,EP...], gateway:EP, or \
              fleet:EP[;replica=EP[,EP...]][;EP...], \
              each optionally with ;tenant=NAME"
@@ -588,13 +403,7 @@ pub enum AnyBackend {
     Scan(ScanBackend),
     /// The prepared index (default).
     Indexed(IndexedBackend),
-    /// The class-sharded parallel index.
-    Sharded(ShardedBackend),
-    /// Shard workers behind a transport.
-    Remote(RemoteBackend),
-    /// Remote scoring through an `fhc-gateway` front door.
-    Gateway(GatewayBackend),
-    /// A self-healing, replicated shard fleet.
+    /// Shard workers behind a transport: a self-healing, replicated fleet.
     Fleet(FleetBackend),
 }
 
@@ -604,17 +413,6 @@ impl AnyBackend {
         match self {
             AnyBackend::Scan(_) => BackendConfig::Scan,
             AnyBackend::Indexed(_) => BackendConfig::Indexed,
-            AnyBackend::Sharded(b) => BackendConfig::Sharded {
-                shards: b.requested,
-            },
-            AnyBackend::Remote(b) => BackendConfig::Remote {
-                endpoints: b.endpoints(),
-                tenant: b.tenant().map(str::to_string),
-            },
-            AnyBackend::Gateway(b) => BackendConfig::Gateway {
-                endpoint: b.endpoint().clone(),
-                tenant: b.tenant().map(str::to_string),
-            },
             AnyBackend::Fleet(b) => BackendConfig::Fleet {
                 topology: b.topology(),
                 tenant: b.tenant().map(str::to_string),
@@ -626,16 +424,13 @@ impl AnyBackend {
     /// changes the wire shape: a whole batch travels in few
     /// `ScoreBatchRequest` frames instead of one round trip per query.
     pub fn scores_batches_remotely(&self) -> bool {
-        matches!(
-            self,
-            AnyBackend::Remote(_) | AnyBackend::Gateway(_) | AnyBackend::Fleet(_)
-        )
+        matches!(self, AnyBackend::Fleet(_))
     }
 
     /// Compute one dense similarity row per query, in query order.
     ///
-    /// Transport backends ship the whole batch through their batched wire
-    /// path (chunked to the frame budget); in-process backends score per
+    /// The fleet ships the whole batch through its batched wire path
+    /// (chunked to the frame budget); in-process backends score per
     /// query — they have no round trips to amortize. Like the other `try_*`
     /// APIs, the batch either scores completely or the first failure is
     /// returned.
@@ -644,8 +439,6 @@ impl AnyBackend {
         queries: &[PreparedSampleFeatures],
     ) -> Result<Vec<Vec<f64>>, FhcError> {
         match self {
-            AnyBackend::Remote(b) => Ok(b.try_feature_rows_prepared(queries)?),
-            AnyBackend::Gateway(b) => Ok(b.try_feature_rows_prepared(queries)?),
             AnyBackend::Fleet(b) => Ok(b.try_feature_rows_prepared(queries)?),
             _ => queries
                 .iter()
@@ -660,9 +453,6 @@ impl AnyBackend {
         match self {
             AnyBackend::Scan(b) => b,
             AnyBackend::Indexed(b) => b,
-            AnyBackend::Sharded(b) => b,
-            AnyBackend::Remote(b) => b,
-            AnyBackend::Gateway(b) => b,
             AnyBackend::Fleet(b) => b,
         }
     }
@@ -690,6 +480,7 @@ impl SimilarityBackend for AnyBackend {
 mod tests {
     use super::*;
     use binary::elf::ElfBuilder;
+    use std::net::TcpListener;
 
     fn make_sample(class_tag: &str, variant: u64) -> SampleFeatures {
         let mut b = ElfBuilder::new();
@@ -749,20 +540,32 @@ mod tests {
         .collect()
     }
 
+    /// A `remote:` fleet over `n` in-process loopback workers, each loaded
+    /// with every class of `rs` (the fleet deals the partition).
+    fn fleet_config(rs: &Arc<ReferenceSet>, n: usize) -> BackendConfig {
+        BackendConfig::remote((0..n).map(|_| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
+            let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+            let worker = Arc::new(crate::shardnet::ShardWorker::all_classes(Arc::clone(rs)));
+            std::thread::spawn(move || crate::shardnet::worker::serve_tcp(worker, listener));
+            endpoint
+        }))
+    }
+
     #[test]
     fn all_backends_agree_on_every_probe() {
         let rs = reference(4);
         let scan = ScanBackend::new(rs.clone());
         let indexed = IndexedBackend::new(rs.clone());
-        for shards in [1, 2, 3, rs.n_classes(), rs.n_classes() + 5] {
-            let sharded = ShardedBackend::new(rs.clone(), shards);
+        for shards in [1, 2, 3, rs.n_classes(), rs.n_classes() + 2] {
+            let fleet = fleet_config(&rs, shards).build(rs.clone());
             for probe in &probes() {
                 let expected = scan.feature_vector_prepared(probe);
                 assert_eq!(indexed.feature_vector_prepared(probe), expected);
                 assert_eq!(
-                    sharded.feature_vector_prepared(probe),
+                    fleet.feature_vector_prepared(probe),
                     expected,
-                    "sharded({shards}) diverged"
+                    "a fleet of {shards} diverged"
                 );
             }
         }
@@ -788,29 +591,32 @@ mod tests {
 
     #[test]
     fn sharded_partition_covers_every_class_exactly_once() {
-        let rs = reference(5);
-        for shards in [1, 2, 3, 5, 9] {
-            let backend = ShardedBackend::new(rs.clone(), shards);
-            assert!(backend.n_shards() <= rs.n_classes());
-            assert!(backend.n_shards() >= 1);
-            let mut seen = vec![0usize; rs.n_classes()];
-            for shard in 0..backend.n_shards() {
-                assert!(!backend.shard_classes(shard).is_empty());
-                for &class in backend.shard_classes(shard) {
-                    seen[class] += 1;
+        for n_classes in [0, 1, 5] {
+            for shards in [1, 2, 3, 5, 9] {
+                let partition = round_robin_partition(n_classes, shards);
+                assert_eq!(partition.len(), shards);
+                let mut seen = vec![0usize; n_classes];
+                for classes in &partition {
+                    for &class in classes {
+                        seen[class] += 1;
+                    }
                 }
+                assert!(seen.iter().all(|&n| n == 1), "partition must be exact");
             }
-            assert!(seen.iter().all(|&n| n == 1), "partition must be exact");
         }
-    }
-
-    #[test]
-    fn shard_count_zero_means_auto_and_roundtrips_config() {
-        let rs = reference(2);
-        let auto = ShardedBackend::new(rs.clone(), 0);
-        assert!(auto.n_shards() >= 1 && auto.n_shards() <= 2);
-        let any = BackendConfig::Sharded { shards: 0 }.build(rs);
-        assert_eq!(any.config(), BackendConfig::Sharded { shards: 0 });
+        // A live fleet's members hold exactly this partition, in topology
+        // order.
+        let rs = reference(5);
+        let AnyBackend::Fleet(fleet) = fleet_config(&rs, 3).build(rs) else {
+            panic!("remote: builds a fleet");
+        };
+        let members: Vec<Vec<usize>> = fleet
+            .view()
+            .members()
+            .iter()
+            .map(|m| m.classes().to_vec())
+            .collect();
+        assert_eq!(members, round_robin_partition(5, 3));
     }
 
     #[test]
@@ -825,25 +631,20 @@ mod tests {
             &FeatureKind::ALL,
         ));
         let probe = PreparedSampleFeatures::prepare(&make_sample("velvet", 2));
+        let scan_row = BackendConfig::Scan
+            .build(rs.clone())
+            .feature_vector_prepared(&probe);
         for config in [
             BackendConfig::Scan,
             BackendConfig::Indexed,
-            BackendConfig::Sharded { shards: 2 },
+            fleet_config(&rs, 2),
         ] {
             let row = config.build(rs.clone()).feature_vector_prepared(&probe);
             assert_eq!(row.len(), rs.n_columns());
             for kind_idx in 0..rs.kinds().len() {
                 assert_eq!(row[kind_idx * 2 + 1], 0.0, "empty class under {config}");
             }
-        }
-        let scan_row = BackendConfig::Scan
-            .build(rs.clone())
-            .feature_vector_prepared(&probe);
-        for config in [BackendConfig::Indexed, BackendConfig::Sharded { shards: 2 }] {
-            assert_eq!(
-                config.build(rs.clone()).feature_vector_prepared(&probe),
-                scan_row
-            );
+            assert_eq!(row, scan_row, "{config} diverged from the scan oracle");
         }
     }
 
@@ -861,10 +662,11 @@ mod tests {
             .build(rs.clone())
             .feature_vector_prepared(&probe);
         assert_eq!(expected[0], 100.0);
+        // Four shards over one class: three serve empty partitions.
         for config in [
             BackendConfig::Indexed,
-            BackendConfig::Sharded { shards: 1 },
-            BackendConfig::Sharded { shards: 4 },
+            fleet_config(&rs, 1),
+            fleet_config(&rs, 4),
         ] {
             assert_eq!(
                 config.build(rs.clone()).feature_vector_prepared(&probe),
@@ -876,7 +678,7 @@ mod tests {
     #[test]
     fn matrix_helpers_match_row_helpers() {
         let rs = reference(3);
-        let backend = BackendConfig::Sharded { shards: 2 }.build(rs);
+        let backend = fleet_config(&rs, 2).build(rs);
         let prepared = probes();
         let plain: Vec<SampleFeatures> = prepared
             .iter()
@@ -889,6 +691,12 @@ mod tests {
         for (i, row) in from_prepared.iter().enumerate() {
             assert_eq!(*row, backend.feature_vector_prepared(&prepared[i]));
         }
+        assert_eq!(
+            backend
+                .try_feature_rows_prepared(&prepared)
+                .expect("batched rows"),
+            from_prepared
+        );
     }
 
     #[test]
@@ -896,20 +704,12 @@ mod tests {
         assert_eq!(BackendConfig::Scan.to_string(), "scan");
         assert_eq!(BackendConfig::Indexed.to_string(), "indexed");
         assert_eq!(
-            BackendConfig::Sharded { shards: 3 }.to_string(),
-            "sharded(3)"
-        );
-        assert_eq!(
-            BackendConfig::Sharded { shards: 0 }.to_string(),
-            "sharded(auto)"
-        );
-        assert_eq!(
             BackendConfig::remote([
                 Endpoint::Tcp("127.0.0.1:9000".into()),
                 Endpoint::Unix("/tmp/fhc.sock".into()),
             ])
             .to_string(),
-            "remote(tcp:127.0.0.1:9000,unix:/tmp/fhc.sock)"
+            "fleet:tcp:127.0.0.1:9000;unix:/tmp/fhc.sock"
         );
         assert_eq!(
             BackendConfig::Fleet {
@@ -917,15 +717,14 @@ mod tests {
                 tenant: None,
             }
             .to_string(),
-            "fleet(tcp:h1:9000;replica=tcp:h1:9100;tcp:h2:9000)"
+            "fleet:tcp:h1:9000;replica=tcp:h1:9100;tcp:h2:9000"
         );
         assert_eq!(
-            BackendConfig::Gateway {
-                endpoint: Endpoint::Tcp("127.0.0.1:7000".into()),
-                tenant: Some("acme".into()),
-            }
-            .to_string(),
-            "gateway(tcp:127.0.0.1:7000;tenant=acme)"
+            "gateway:127.0.0.1:7000;tenant=acme"
+                .parse::<BackendConfig>()
+                .unwrap()
+                .to_string(),
+            "fleet:tcp:127.0.0.1:7000;tenant=acme"
         );
         assert_eq!(BackendConfig::default(), BackendConfig::Indexed);
     }
@@ -940,22 +739,23 @@ mod tests {
             "indexed".parse::<BackendConfig>().unwrap(),
             BackendConfig::Indexed
         );
-        assert_eq!(
-            "sharded".parse::<BackendConfig>().unwrap(),
-            BackendConfig::Sharded { shards: 0 }
-        );
-        assert_eq!(
-            "sharded:5".parse::<BackendConfig>().unwrap(),
-            BackendConfig::Sharded { shards: 5 }
-        );
+        // `remote:` is a fleet of replica-less shards in the listed order.
         assert_eq!(
             "remote:127.0.0.1:9000,unix:/tmp/w.sock"
                 .parse::<BackendConfig>()
                 .unwrap(),
-            BackendConfig::remote([
-                Endpoint::Tcp("127.0.0.1:9000".into()),
-                Endpoint::Unix("/tmp/w.sock".into()),
-            ])
+            BackendConfig::Fleet {
+                topology: FleetTopology::new(vec![
+                    FleetShard::solo(Endpoint::Tcp("127.0.0.1:9000".into())),
+                    FleetShard::solo(Endpoint::Unix("/tmp/w.sock".into())),
+                ]),
+                tenant: None,
+            }
+        );
+        // `gateway:` is a one-shard fleet.
+        assert_eq!(
+            "gateway:127.0.0.1:7000".parse::<BackendConfig>().unwrap(),
+            BackendConfig::remote([Endpoint::Tcp("127.0.0.1:7000".into())])
         );
         assert_eq!(
             "fleet:127.0.0.1:9000;replica=127.0.0.1:9100;unix:/tmp/w.sock"
@@ -963,11 +763,11 @@ mod tests {
                 .unwrap(),
             BackendConfig::Fleet {
                 topology: FleetTopology::new(vec![
-                    crate::shardnet::FleetShard {
+                    FleetShard {
                         primary: Endpoint::Tcp("127.0.0.1:9000".into()),
                         replicas: vec![Endpoint::Tcp("127.0.0.1:9100".into())],
                     },
-                    crate::shardnet::FleetShard::solo(Endpoint::Unix("/tmp/w.sock".into())),
+                    FleetShard::solo(Endpoint::Unix("/tmp/w.sock".into())),
                 ]),
                 tenant: None,
             }
@@ -976,33 +776,32 @@ mod tests {
         for config in [
             BackendConfig::Scan,
             BackendConfig::Indexed,
-            BackendConfig::Sharded { shards: 4 },
-            BackendConfig::remote([Endpoint::Tcp("h:1".into())]),
+            BackendConfig::remote([Endpoint::Tcp("h:1".into()), Endpoint::Tcp("h:4".into())]),
             BackendConfig::Fleet {
-                topology: "h:1;replica=h:2;h:3".parse().unwrap(),
+                topology: "h:1;replica=h:2;h:3;hedge_ms=5,1,40".parse().unwrap(),
                 tenant: None,
             },
         ] {
-            // `sharded(4)`-style display is for humans; the parser speaks
-            // the CLI spelling.
-            let spelled = match &config {
-                BackendConfig::Sharded { shards } => format!("sharded:{shards}"),
-                BackendConfig::Remote { endpoints, .. } => format!("remote:{}", endpoints[0]),
-                BackendConfig::Fleet { topology, .. } => format!("fleet:{topology}"),
-                other => other.to_string(),
-            };
-            assert_eq!(spelled.parse::<BackendConfig>().unwrap(), config);
+            assert_eq!(config.to_string().parse::<BackendConfig>().unwrap(), config);
         }
         for bad in [
             "bogus",
-            "sharded:x",
+            "sharded",
+            "sharded:2",
             "remote:",
             "remote:nonsense",
+            "remote:h:1,,h:2",
+            "gateway:",
             "fleet:",
             "fleet:replica=h:1",
             "fleet:h:1;;h:2",
         ] {
             assert!(bad.parse::<BackendConfig>().is_err(), "{bad:?} must fail");
+        }
+        // The removed `sharded` spec is refused with the accepted list.
+        let err = "sharded:4".parse::<BackendConfig>().unwrap_err();
+        for accepted in ["scan", "indexed", "remote:", "gateway:", "fleet:"] {
+            assert!(err.contains(accepted), "{err:?} must list {accepted}");
         }
     }
 
@@ -1014,21 +813,15 @@ mod tests {
             .unwrap();
         assert_eq!(
             remote,
-            BackendConfig::Remote {
-                endpoints: vec![Endpoint::Tcp("127.0.0.1:9000".into())],
+            BackendConfig::Fleet {
+                topology: "127.0.0.1:9000".parse().unwrap(),
                 tenant: Some("acme".into()),
             }
         );
-        let gateway = "gateway:tenant=acme;127.0.0.1:7000"
+        let gateway = "gateway:tenant=acme;127.0.0.1:9000"
             .parse::<BackendConfig>()
             .unwrap();
-        assert_eq!(
-            gateway,
-            BackendConfig::Gateway {
-                endpoint: Endpoint::Tcp("127.0.0.1:7000".into()),
-                tenant: Some("acme".into()),
-            }
-        );
+        assert_eq!(gateway, remote);
         let fleet = "fleet:h:1;replica=h:2;tenant=org.lab-7;h:3"
             .parse::<BackendConfig>()
             .unwrap();
@@ -1040,24 +833,8 @@ mod tests {
             }
         );
         // Display forms with tenants reparse to the same configuration.
-        for config in [remote, gateway, fleet] {
-            let spelled = match &config {
-                BackendConfig::Remote { endpoints, tenant } => {
-                    format!(
-                        "remote:{};tenant={}",
-                        endpoints[0],
-                        tenant.as_ref().unwrap()
-                    )
-                }
-                BackendConfig::Gateway { endpoint, tenant } => {
-                    format!("gateway:{};tenant={}", endpoint, tenant.as_ref().unwrap())
-                }
-                BackendConfig::Fleet { topology, tenant } => {
-                    format!("fleet:{};tenant={}", topology, tenant.as_ref().unwrap())
-                }
-                other => other.to_string(),
-            };
-            assert_eq!(spelled.parse::<BackendConfig>().unwrap(), config);
+        for config in [remote, fleet] {
+            assert_eq!(config.to_string().parse::<BackendConfig>().unwrap(), config);
         }
         // Malformed or duplicated tenants are rejected with a clear message.
         for bad in [
@@ -1084,30 +861,21 @@ mod tests {
         assert_eq!(round_robin_partition(0, 3), vec![vec![], vec![], vec![]]);
         // Zero shards clamps to one.
         assert_eq!(round_robin_partition(3, 0), vec![vec![0, 1, 2]]);
-        // The ShardedBackend partition is exactly this rule.
-        let rs = reference(5);
-        let backend = ShardedBackend::new(rs, 2);
-        for shard in 0..backend.n_shards() {
-            assert_eq!(
-                backend.shard_classes(shard),
-                round_robin_partition(5, 2)[shard]
-            );
-        }
     }
 
     #[test]
     fn sharded_scores_identically_inside_parallel_workers() {
-        // Inside a batch worker the sharded backend degrades to serial
-        // shard scoring; the rows must stay byte-identical.
+        // Batch workers share one fleet's connections; every row must stay
+        // byte-identical to the serial path.
         let rs = reference(4);
-        let sharded = ShardedBackend::new(rs.clone(), 2);
+        let fleet = fleet_config(&rs, 2).build(rs.clone());
         let probes = probes();
         let direct: Vec<Vec<f64>> = probes
             .iter()
-            .map(|p| sharded.feature_vector_prepared(p))
+            .map(|p| fleet.feature_vector_prepared(p))
             .collect();
         // Force the threaded batch path with one probe per worker step.
-        let via_batch = sharded.feature_matrix_prepared(
+        let via_batch = fleet.feature_matrix_prepared(
             &probes,
             ParallelConfig {
                 threads: 2,
@@ -1115,28 +883,17 @@ mod tests {
             },
         );
         assert_eq!(via_batch, direct);
-        // And inside a worker we really do take the serial path: observe
-        // the flag the backends branch on.
-        let flags = par_map_indexed(
-            4,
-            ParallelConfig {
-                threads: 2,
-                chunk: 1,
-            },
-            |_| hpcutil::in_parallel_worker(),
-        );
-        assert!(flags.iter().all(|&f| f));
+        let scan = ScanBackend::new(rs);
+        for (probe, row) in probes.iter().zip(&direct) {
+            assert_eq!(*row, scan.feature_vector_prepared(probe));
+        }
     }
 
     #[test]
     fn try_paths_succeed_for_in_process_backends() {
         let rs = reference(3);
         let probe = &probes()[0];
-        for config in [
-            BackendConfig::Scan,
-            BackendConfig::Indexed,
-            BackendConfig::Sharded { shards: 2 },
-        ] {
+        for config in [BackendConfig::Scan, BackendConfig::Indexed] {
             let backend = config
                 .try_build(rs.clone())
                 .expect("in-process backends build");

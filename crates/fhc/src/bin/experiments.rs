@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--scale 0.25] [--seed 42] [--trees 80] [--grid] [--only <name>]
-//!             [--backend scan|indexed|sharded[:N]] [--threads N]
+//!             [--backend scan|indexed] [--threads N]
 //! ```
 //!
 //! `--scale` shrinks the corpus (1.0 = the paper's ≈5333 samples; the
@@ -13,7 +13,7 @@
 //!
 //! The runtime layers of [`FhcConfig`] are reachable from the command line:
 //! `--backend` selects the similarity backend that scores every feature
-//! matrix (`scan`, `indexed`, `sharded`, or `sharded:N`), and `--threads`
+//! matrix (`scan` or `indexed`), and `--threads`
 //! pins the training-batch *and* serving parallelism to N worker threads
 //! (default: all hardware threads). Neither changes a single score — only
 //! how fast the identical numbers are produced.
@@ -49,7 +49,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: experiments [--scale F] [--seed N] [--trees N] [--grid] \
-     [--only NAME] [--backend scan|indexed|sharded[:N]] [--threads N]";
+     [--only NAME] [--backend scan|indexed] [--threads N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -93,18 +93,15 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--backend needs a value")?
                     .parse()
                     .map_err(|e| format!("invalid --backend: {e}"))?;
-                if matches!(
-                    args.backend,
-                    BackendConfig::Remote { .. } | BackendConfig::Gateway { .. }
-                ) {
-                    return Err("--backend remote:... and gateway:... are serving-time \
-                         topologies: the experiments driver trains from scratch, and \
+                if matches!(args.backend, BackendConfig::Fleet { .. }) {
+                    return Err("--backend remote:..., gateway:... and fleet:... are \
+                         serving-time topologies: the experiments driver trains from scratch, and \
                          training builds backends over intermediate reference sets \
                          (threshold-tuning inner fits use subsets) that cannot match \
                          a running fhc-shardd's or fhc-gateway's artifact \
                          fingerprint. Train and save an artifact, start the daemons \
                          on it, then open it with TrainedClassifier::load_with. Use \
-                         scan, indexed, or sharded[:N] here."
+                         scan or indexed here."
                         .to_string());
                 }
             }

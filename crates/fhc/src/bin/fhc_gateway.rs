@@ -5,9 +5,8 @@
 //! on TCP or a Unix-domain socket. Queries arriving concurrently — from
 //! any number of client connections — are coalesced into batched wire
 //! frames per shard, so the fleet pays per-frame overhead once per burst
-//! instead of once per query. Clients connect with
-//! `BackendConfig::Gateway` (`--backend gateway:EP` on the command line)
-//! and see one worker serving every class.
+//! instead of once per query. Clients connect with a `gateway:EP` backend
+//! spec — a one-shard fleet — and see one worker serving every class.
 //!
 //! ```text
 //! fhc-gateway --artifact model.fhc --listen 127.0.0.1:7000 \
@@ -16,13 +15,12 @@
 //!     --workers unix:/run/fhc/shard0.sock,unix:/run/fhc/shard1.sock
 //! ```
 //!
-//! The worker handshake is the same as `RemoteBackend`'s: every worker
-//! must serve the same artifact (fingerprint, geometry, protocol
-//! version), and their class partitions must cover every class exactly
-//! once — unpartitioned workers are assigned a round-robin partition over
-//! the wire. With `--listen` port `0` the chosen port is printed on the
-//! `listening on` line, so scripts (and the integration tests) can scrape
-//! it.
+//! Every worker must serve the same artifact (fingerprint, geometry,
+//! protocol version) and advertise batch scoring, and their class
+//! partitions must cover every class exactly once — unpartitioned workers
+//! are assigned a round-robin partition over the wire. With `--listen`
+//! port `0` the chosen port is printed on the `listening on` line, so
+//! scripts (and the integration tests) can scrape it.
 //!
 //! Batch sizing is **adaptive**: each shard's batcher grows its pack
 //! target while its queue keeps filling packs and shrinks it back when

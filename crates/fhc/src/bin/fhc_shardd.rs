@@ -3,9 +3,9 @@
 //! Loads a trained-classifier artifact, builds the prepared similarity
 //! index over its reference set, and answers score requests for a class
 //! partition over TCP or a Unix-domain socket. A serving frontend opens the
-//! same artifact with `BackendConfig::Remote { endpoints }` (or
-//! `--backend remote:...` on the command line) and fans every query out
-//! across the running daemons.
+//! same artifact with a fleet backend (`remote:EP[,EP...]`, `gateway:EP`
+//! or `fleet:...` on the command line) and fans every query out across the
+//! running daemons.
 //!
 //! ```text
 //! fhc-shardd --artifact model.fhc --listen 127.0.0.1:0
@@ -14,12 +14,13 @@
 //! fhc-shardd --diskless --listen 127.0.0.1:9000
 //! ```
 //!
-//! `--shard i/n` serves shard `i` of the same round-robin partition the
-//! in-process `ShardedBackend` uses; `--classes` names explicit class ids;
-//! with neither, the daemon serves every class and lets the client assign a
-//! partition over the wire. With `--listen` port `0` the chosen port is
-//! printed on the `listening on` line, so scripts (and the integration
-//! tests) can scrape it.
+//! `--shard i/n` serves shard `i` of the round-robin partition a fleet
+//! deals across its shards in order, so `remote:` over `--shard 0/n ..
+//! n-1/n` daemons listed in order needs no reassignment; `--classes` names
+//! explicit class ids; with neither, the daemon serves every class. A fleet
+//! client assigns its own partition over the wire either way. With
+//! `--listen` port `0` the chosen port is printed on the `listening on`
+//! line, so scripts (and the integration tests) can scrape it.
 //!
 //! `--diskless` starts with **no artifact at all**: the daemon advertises
 //! fingerprint `0` and waits for a fleet client to seed it over the wire

@@ -12,7 +12,8 @@
 //!
 //! Each round derives its own seed from the run's root seed (via
 //! [`hpcutil::SeedSequence`]), picks one of the persistent serving stacks
-//! (remote fan-out, replicated fleet, batching gateway, named tenant),
+//! (replica-less `remote:` fleet, replicated fleet, batching gateway behind
+//! a `gateway:` fleet, named tenant),
 //! arms a generated failpoint spec, fires a burst of queries, disarms,
 //! and then retries until the stack heals. A violation reports the root
 //! seed, the round index, and the exact spec, so any failure replays with
@@ -21,9 +22,9 @@
 use crate::backend::{BackendConfig, SimilarityBackend};
 use crate::error::FhcError;
 use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
-use crate::shardnet::gateway::{self, Gateway, GatewayBackend, GatewayOptions};
+use crate::shardnet::gateway::{self, Gateway, GatewayOptions};
 use crate::shardnet::worker::{self, ShardWorker, TenantHost};
-use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology, NetError, RemoteBackend};
+use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology, NetError};
 use crate::similarity::ReferenceSet;
 use hpcutil::failpoint;
 use hpcutil::SeedSequence;
@@ -140,8 +141,11 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
         // scores correctly, or refuses with a typed error.
         if rng.gen_bool(0.25) {
             let fresh: Result<Box<dyn SimilarityBackend>, NetError> = if rng.gen_bool(0.5) {
-                RemoteBackend::connect(Arc::clone(&harness.reference), &harness.worker_endpoints)
-                    .map(|b| Box::new(b) as Box<dyn SimilarityBackend>)
+                FleetBackend::connect(
+                    Arc::clone(&harness.reference),
+                    remote_topology(&harness.worker_endpoints),
+                )
+                .map(|b| Box::new(b) as Box<dyn SimilarityBackend>)
             } else {
                 harness
                     .connect_fresh_diskless_fleet()
@@ -214,7 +218,8 @@ impl Harness {
         )?;
         let tenant_endpoint = spawn_host(Arc::new(host));
 
-        let remote = RemoteBackend::connect(Arc::clone(&reference), &worker_endpoints)?;
+        let remote =
+            FleetBackend::connect(Arc::clone(&reference), remote_topology(&worker_endpoints))?;
         let fleet =
             FleetBackend::connect(Arc::clone(&reference), fleet_topology(&worker_endpoints))?;
         let gateway = Gateway::connect(
@@ -223,7 +228,11 @@ impl Harness {
             GatewayOptions::default(),
         )?;
         let front = spawn_gateway(gateway);
-        let gateway = GatewayBackend::connect(Arc::clone(&reference), &front)?;
+        // The `gateway:EP` shape: one shard owning every class.
+        let gateway = FleetBackend::connect(
+            Arc::clone(&reference),
+            FleetTopology::new(vec![FleetShard::solo(front)]),
+        )?;
         let tenant = FleetBackend::connect_tenant(
             Arc::clone(&reference),
             FleetTopology::new(vec![FleetShard::solo(tenant_endpoint.clone())]),
@@ -343,15 +352,24 @@ fn probe_bodies() -> Vec<&'static [u8]> {
     ]
 }
 
+/// Tight fleet tunings so redial and hedge waits cost milliseconds, not
+/// the production defaults.
+const CHAOS_TUNING: &str = "hedge_ms=5,1,40;backoff_ms=2,50";
+
 /// Both shards replicated on both workers: primaries crossed so hedging
-/// and failover have somewhere to go, with tight tunings so redial and
-/// hedge waits cost milliseconds, not the production defaults.
+/// and failover have somewhere to go.
 fn fleet_topology(endpoints: &[Endpoint]) -> FleetTopology {
     let spec = format!(
-        "{};replica={};{};replica={};hedge_ms=5,1,40;backoff_ms=2,50",
+        "{};replica={};{};replica={};{CHAOS_TUNING}",
         endpoints[0], endpoints[1], endpoints[1], endpoints[0]
     );
     spec.parse().expect("the chaos fleet spec parses")
+}
+
+/// The `remote:` shape: one replica-less shard per worker, in order.
+fn remote_topology(endpoints: &[Endpoint]) -> FleetTopology {
+    let spec = format!("{};{};{CHAOS_TUNING}", endpoints[0], endpoints[1]);
+    spec.parse().expect("the chaos remote spec parses")
 }
 
 fn spawn_worker(reference: Arc<ReferenceSet>) -> Endpoint {
@@ -399,12 +417,8 @@ fn generate_spec(rng: &mut ChaCha8Rng) -> String {
 }
 
 fn generate_action(rng: &mut ChaCha8Rng, site: &str) -> String {
-    // The pool site only honours delays (a job cannot "fail" — see the
-    // probe in `hpcutil::pool`), and the checksum site injects a mismatch
-    // whatever the action says; everywhere else the full palette applies.
-    if site == "pool.job" {
-        return format!("delay:{}", rng.gen_range(1..4u64));
-    }
+    // The checksum site injects a mismatch whatever the action says;
+    // everywhere else the full palette applies.
     if site == "frame.checksum" {
         return "err_io".to_string();
     }

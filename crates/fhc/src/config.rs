@@ -23,8 +23,9 @@
 //!
 //! let config = FhcConfig::new()
 //!     .seed(7)
-//!     .backend(BackendConfig::Sharded { shards: 4 });
+//!     .backend("remote:127.0.0.1:9000,127.0.0.1:9001".parse().expect("a valid spec"));
 //! assert_eq!(config.pipeline.seed, 7);
+//! assert_ne!(config.backend, BackendConfig::Indexed);
 //! ```
 
 use crate::backend::BackendConfig;
@@ -159,11 +160,11 @@ mod tests {
                 threads: 3,
                 chunk: 7,
             })
-            .backend(BackendConfig::Sharded { shards: 5 });
+            .backend(BackendConfig::Scan);
         assert_eq!(config.pipeline.seed, 99);
         assert_eq!(config.parallel.threads, 2);
         assert_eq!(config.serving.chunk, 7);
-        assert_eq!(config.backend, BackendConfig::Sharded { shards: 5 });
+        assert_eq!(config.backend, BackendConfig::Scan);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   block-size-bucketed similarity index.
 //! * [`backend`] — the pluggable [`SimilarityBackend`] scoring strategies
 //!   over that reference set: the unindexed scan oracle, the prepared
-//!   index, and the class-sharded parallel index. All score-identical;
-//!   chosen at runtime.
+//!   index, and a fleet of shard workers behind sockets. All
+//!   score-identical; chosen at runtime.
 //! * [`config`] — the unified layered [`FhcConfig`]
 //!   (`pipeline` + `parallel` + `serving` + `backend`) every entry point
 //!   consumes.
@@ -37,9 +37,9 @@
 //! * [`artifact`] — versioned on-disk persistence for trained classifiers,
 //!   so training cost is amortized across processes.
 //! * [`shardnet`] — distributed shard serving: a checksummed wire protocol,
-//!   the `fhc-shardd` worker daemon, and a
-//!   [`shardnet::RemoteBackend`] that fans similarity
-//!   scoring out across worker processes over persistent connections.
+//!   the `fhc-shardd` worker daemon, the `fhc-gateway` front door, and the
+//!   [`shardnet::FleetBackend`] that fans similarity scoring out across
+//!   worker processes over persistent connections.
 //! * [`experiments`] — one driver per table/figure of the paper.
 //! * [`ablation`] and [`baselines`] — feature ablations and the
 //!   cryptographic-hash / k-NN / naive-Bayes comparison models (all driven
@@ -83,7 +83,7 @@
 //! trained.save("classifier.fhc").expect("save succeeds");
 //! let restored = TrainedClassifier::load_with(
 //!     "classifier.fhc",
-//!     &config.backend(BackendConfig::Sharded { shards: 4 }),
+//!     &config.backend(BackendConfig::Indexed),
 //! )
 //! .expect("load succeeds");
 //! assert_eq!(restored.known_class_names(), trained.known_class_names());
@@ -125,12 +125,10 @@ pub mod similarity;
 pub mod split;
 pub mod threshold;
 
-pub use backend::{
-    AnyBackend, BackendConfig, IndexedBackend, ScanBackend, ShardedBackend, SimilarityBackend,
-};
+pub use backend::{AnyBackend, BackendConfig, IndexedBackend, ScanBackend, SimilarityBackend};
 pub use config::FhcConfig;
 pub use error::FhcError;
 pub use features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
 pub use pipeline::{FitOutcome, FuzzyHashClassifier, PipelineConfig, PipelineOutcome};
 pub use serving::{Prediction, ServingConfig, TrainedClassifier};
-pub use shardnet::{Endpoint, NetError, RemoteBackend, ShardWorker};
+pub use shardnet::{Endpoint, FleetBackend, NetError, ShardWorker};

@@ -159,17 +159,6 @@ impl FuzzyHashClassifier {
         Self { config }
     }
 
-    /// Create a classifier from a bare pipeline configuration, with default
-    /// runtime layers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use FuzzyHashClassifier::with_config; PipelineConfig is now the \
-                `pipeline` layer of the unified FhcConfig (FhcConfig::from(pipeline) upgrades one)"
-    )]
-    pub fn new(config: PipelineConfig) -> Self {
-        Self::with_config(FhcConfig::from(config))
-    }
-
     /// The full layered configuration in use.
     pub fn config(&self) -> &FhcConfig {
         &self.config

@@ -168,7 +168,7 @@ impl TrainedClassifier {
 
     /// The reference set as a shared handle (the form
     /// [`ShardWorker`](crate::shardnet::ShardWorker) and
-    /// [`RemoteBackend`](crate::shardnet::RemoteBackend) consume — a shard
+    /// [`FleetBackend`](crate::shardnet::FleetBackend) consume — a shard
     /// daemon serves the reference set of the artifact it loaded).
     pub fn reference_shared(&self) -> Arc<ReferenceSet> {
         Arc::clone(&self.reference)
@@ -238,14 +238,14 @@ impl TrainedClassifier {
     /// changes predictions — only how (and how parallel, and on which
     /// machines) they are computed.
     ///
-    /// Panics if a remote topology cannot be connected; use
+    /// Panics if a fleet cannot be connected; use
     /// [`TrainedClassifier::try_set_backend`] to handle that case.
     pub fn set_backend(&mut self, config: BackendConfig) {
         self.backend = config.build(self.reference.clone());
     }
 
     /// Fallible twin of [`TrainedClassifier::set_backend`]: connecting a
-    /// [`BackendConfig::Remote`] topology dials real sockets and can fail.
+    /// [`BackendConfig::Fleet`] dials real sockets and can fail.
     /// On error the current backend is left untouched.
     pub fn try_set_backend(&mut self, config: BackendConfig) -> Result<(), FhcError> {
         self.backend = config.try_build(self.reference.clone())?;
@@ -572,12 +572,25 @@ mod tests {
             .map(|s| (s.install_path(), corpus.generate_bytes(s)))
             .collect();
         let expected = trained.classify_batch(&batch);
+        // Fleets of one and three loopback workers serving the artifact.
+        let fleet = |n: usize| {
+            BackendConfig::remote((0..n).map(|_| {
+                let listener =
+                    std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
+                let endpoint =
+                    crate::shardnet::Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+                let worker = Arc::new(crate::shardnet::ShardWorker::all_classes(
+                    trained.reference_shared(),
+                ));
+                std::thread::spawn(move || crate::shardnet::worker::serve_tcp(worker, listener));
+                endpoint
+            }))
+        };
         for config in [
             BackendConfig::Scan,
             BackendConfig::Indexed,
-            BackendConfig::Sharded { shards: 1 },
-            BackendConfig::Sharded { shards: 3 },
-            BackendConfig::Sharded { shards: 0 },
+            fleet(1),
+            fleet(3),
         ] {
             let swapped = trained.clone().with_backend(config.clone());
             assert_eq!(swapped.backend_config(), config);
@@ -608,10 +621,10 @@ mod tests {
                 threads: 2,
                 chunk: 5,
             })
-            .backend(BackendConfig::Sharded { shards: 2 });
+            .backend(BackendConfig::Scan);
         let tuned = trained.with_config(&config);
         assert_eq!(tuned.serving_config().chunk, 5);
-        assert_eq!(tuned.backend_config(), BackendConfig::Sharded { shards: 2 });
+        assert_eq!(tuned.backend_config(), BackendConfig::Scan);
     }
 
     #[test]

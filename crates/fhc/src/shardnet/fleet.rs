@@ -1,10 +1,14 @@
-//! The elastic, self-healing shard fleet.
+//! The elastic, self-healing shard fleet: the one client of the shard
+//! protocol.
 //!
-//! [`RemoteBackend`](crate::shardnet::RemoteBackend) treats its worker list
-//! as a static, fully-healthy topology: every worker is a single point of
-//! failure for its classes, a lost connection surfaces as a typed error
-//! until the next query happens to redial, and the class partition is fixed
-//! at connect time. This module turns that list into a *fleet*:
+//! A fleet is a list of shards, each a primary endpoint plus optional
+//! replicas. The classes are dealt round-robin across the shards in
+//! topology order ([`round_robin_partition`], the rule of
+//! `fhc-shardd --shard i/n`) and assigned over the wire, so whatever
+//! partition a worker advertises, the fleet's own deal is what it serves.
+//! The `remote:EP[,EP...]` spec is a fleet of replica-less shards in the
+//! listed order, and `gateway:EP` a one-shard fleet whose node (an
+//! `fhc-gateway`) owns every class. On top of plain fan-out the fleet adds:
 //!
 //! - **Membership & health** ([`FleetView`]): every endpoint carries a
 //!   health state. A failing node is marked down and its redials are gated
@@ -55,7 +59,7 @@ use crate::error::FhcError;
 use crate::features::PreparedSampleFeatures;
 use crate::shardnet::remote::{
     assign_partition, is_exact_cover, merge_partial_row, net_error_from_mux, read_hello,
-    select_tenant, spawn_mux, validate_hello, HandshakeExpect, CLIENT_BATCH,
+    require_batch, select_tenant, spawn_mux, validate_hello, HandshakeExpect, CLIENT_BATCH,
 };
 use crate::shardnet::wire::{self, ClientReply, Frame, Hello};
 use crate::shardnet::{Endpoint, NetError, SplitConn};
@@ -719,56 +723,79 @@ impl FleetView {
                 Err(e) => {
                     drop(mux);
                     self.mark_down(node);
-                    return Err(e);
+                    // The connection this node had is gone, and a dial the
+                    // OS refuses means the worker is gone with it.
+                    return Err(match e {
+                        NetError::Io { peer, source } => NetError::WorkerLost {
+                            peer,
+                            detail: format!("redial failed: {source}"),
+                        },
+                        e => e,
+                    });
                 }
             }
         }
         Ok(mux.submit(id, bytes.to_vec()))
     }
 
-    /// Race `bytes` across a member's nodes until one valid reply wins.
-    ///
-    /// The preferred node (see [`FleetMember::candidate_order`]) is tried
-    /// first. Every [`FleetMember::hedge_delay`] without a reply, the same
-    /// frame is fired at the next node — same id, distinct connection, so
-    /// the mux correlation stays exact. A node that *fails* (submit
-    /// refused, connection lost, remote error) is marked down and the next
-    /// node is tried immediately. The first `Ok` reply wins: its latency
-    /// feeds the windows and the losing replies are left to the abandoned-
-    /// id drain. Only when every node has failed does the last error
-    /// surface.
-    fn hedged_request(
+    /// Start racing `bytes` across a member's nodes: fire the preferred
+    /// node (see [`FleetMember::candidate_order`]), or the first node that
+    /// accepts the submit. [`FleetView::finish_request`] awaits the winner.
+    fn start_request<'m>(
         &self,
-        member: &FleetMember,
+        member: &'m FleetMember,
+        id: u64,
+        bytes: &[u8],
+    ) -> HedgedRequest<'m> {
+        let mut request = HedgedRequest {
+            member,
+            hedge_delay: member.hedge_delay(),
+            candidates: member.candidate_order().into_iter(),
+            in_flight: Vec::new(),
+            last_err: None,
+            started: Instant::now(),
+        };
+        self.fire_next(&mut request, id, bytes);
+        request
+    }
+
+    /// Submit `bytes` to the next candidate node that accepts it. A node
+    /// refusing the submit (down, or its redial failed) is skipped.
+    fn fire_next(&self, request: &mut HedgedRequest<'_>, id: u64, bytes: &[u8]) {
+        for node_index in request.candidates.by_ref() {
+            match self.node_submit(&request.member.nodes[node_index], id, bytes) {
+                Ok(pending) => {
+                    request
+                        .in_flight
+                        .push((node_index, pending, Instant::now()));
+                    return;
+                }
+                Err(e) => request.last_err = Some(e),
+            }
+        }
+    }
+
+    /// Await a started request until one valid reply wins.
+    ///
+    /// Every [`FleetMember::hedge_delay`] without a reply, counted from the
+    /// request's start, the same frame is fired at the next node — same
+    /// id, distinct connection, so the mux correlation stays exact. A node
+    /// that *fails* (connection lost, remote error) is marked down and the
+    /// next node is tried immediately. The first `Ok` reply wins: its
+    /// latency feeds the windows and the losing replies are left to the
+    /// abandoned-id drain. Only when every node has failed does the last
+    /// error surface.
+    fn finish_request(
+        &self,
+        mut request: HedgedRequest<'_>,
         id: u64,
         bytes: &[u8],
     ) -> Result<(String, ClientReply), NetError> {
-        let hedge_delay = member.hedge_delay();
-        let mut candidates = member.candidate_order().into_iter();
-        let mut in_flight: Vec<(usize, PendingReply<ClientReply>, Instant)> = Vec::new();
-        let mut last_err: Option<NetError> = None;
-        let started = Instant::now();
+        let member = request.member;
         loop {
-            let hedge_due = in_flight.is_empty()
-                || started.elapsed() >= hedge_delay.saturating_mul(in_flight.len() as u32);
-            if hedge_due {
-                for node_index in candidates.by_ref() {
-                    match self.node_submit(&member.nodes[node_index], id, bytes) {
-                        Ok(pending) => {
-                            in_flight.push((node_index, pending, Instant::now()));
-                            break;
-                        }
-                        Err(e) => last_err = Some(e),
-                    }
-                }
-            }
-            if in_flight.is_empty() {
-                return Err(last_err
-                    .unwrap_or_else(|| NetError::Partition("shard has no reachable node".into())));
-            }
             let mut i = 0;
-            while i < in_flight.len() {
-                let (node_index, pending, fired_at) = &mut in_flight[i];
+            while i < request.in_flight.len() {
+                let (node_index, pending, fired_at) = &mut request.in_flight[i];
                 match pending.poll_timeout(POLL_QUANTUM) {
                     Some(Ok(reply)) => {
                         let node = &member.nodes[*node_index];
@@ -781,14 +808,40 @@ impl FleetView {
                     Some(Err(e)) => {
                         let node = &member.nodes[*node_index];
                         self.mark_down(node);
-                        last_err = Some(net_error_from_mux(&node.endpoint.to_string(), e));
-                        in_flight.swap_remove(i);
+                        request.last_err = Some(net_error_from_mux(&node.endpoint.to_string(), e));
+                        request.in_flight.swap_remove(i);
                     }
                     None => i += 1,
                 }
             }
+            let hedge_due = request.in_flight.is_empty()
+                || request.started.elapsed()
+                    >= request
+                        .hedge_delay
+                        .saturating_mul(request.in_flight.len() as u32);
+            if hedge_due {
+                self.fire_next(&mut request, id, bytes);
+            }
+            if request.in_flight.is_empty() {
+                return Err(request
+                    .last_err
+                    .unwrap_or_else(|| NetError::Partition("shard has no reachable node".into())));
+            }
         }
     }
+}
+
+/// One member's request in flight, between [`FleetView::start_request`] and
+/// [`FleetView::finish_request`].
+struct HedgedRequest<'m> {
+    member: &'m FleetMember,
+    hedge_delay: Duration,
+    /// Nodes not yet fired at, in preference order.
+    candidates: std::vec::IntoIter<usize>,
+    /// `(node index, pending reply, fired at)` per node fired at.
+    in_flight: Vec<(usize, PendingReply<ClientReply>, Instant)>,
+    last_err: Option<NetError>,
+    started: Instant,
 }
 
 /// Dial, handshake, partition, and mux every node of every shard — the
@@ -921,12 +974,7 @@ fn connect_node(
     if hello.classes != classes {
         hello = assign_partition(&mut conn, &peer, classes.to_vec())?;
     }
-    if !hello.supports(wire::FEATURE_SCORE_BATCH) {
-        return Err(NetError::Handshake {
-            peer,
-            detail: "fleet serving requires batch scoring; the worker does not advertise it".into(),
-        });
-    }
+    require_batch(&peer, &hello)?;
     Ok((spawn_mux(conn, peer)?, pushed))
 }
 
@@ -1068,40 +1116,32 @@ fn push_delta(
     read_hello(conn.reader(), peer)
 }
 
-/// Run `view.hedged_request` for every member concurrently and collect the
-/// per-member outcomes in member order. The scoped threads mean every
-/// member's primary is in flight at once — the same pipelining rule as
-/// [`RemoteBackend`](crate::shardnet::RemoteBackend), with per-member
-/// hedging layered on top.
+/// Send one request to every member and collect the per-member outcomes in
+/// member order. Every member is started before any is finished, so every
+/// member's preferred node is in flight at once; the mux threads do the
+/// blocking, and each member's hedge deadline counts from its own start.
 fn scatter(
     view: &FleetView,
     members: &[Arc<FleetMember>],
     id: u64,
     bytes: &[u8],
 ) -> Vec<Result<(String, ClientReply), NetError>> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = members
-            .iter()
-            .map(|member| scope.spawn(move || view.hedged_request(member, id, bytes)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle.join().unwrap_or_else(|_| {
-                    Err(NetError::Partition(
-                        "a hedged request thread panicked".into(),
-                    ))
-                })
-            })
-            .collect()
-    })
+    let started: Vec<HedgedRequest<'_>> = members
+        .iter()
+        .map(|member| view.start_request(member, id, bytes))
+        .collect();
+    started
+        .into_iter()
+        .map(|request| view.finish_request(request, id, bytes))
+        .collect()
 }
 
-/// A [`SimilarityBackend`] scoring through a [`FleetView`]: the elastic,
-/// replicated counterpart of
-/// [`RemoteBackend`](crate::shardnet::RemoteBackend).
+/// A [`SimilarityBackend`] scoring through a [`FleetView`]: fans each query
+/// out to every shard over persistent, pipelined connections and
+/// max-merges the partial rows.
 ///
-/// Built with [`FleetBackend::connect`] (or through the `fleet:` spec of
+/// Built with [`FleetBackend::connect`] (or through the `fleet:`,
+/// `remote:` and `gateway:` specs of
 /// [`BackendConfig`](crate::backend::BackendConfig)). Cloning shares the
 /// fleet. Rows are byte-identical to every in-process backend; use the
 /// `try_*` serving APIs — the infallible

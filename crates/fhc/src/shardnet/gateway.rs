@@ -2,9 +2,10 @@
 //!
 //! A [`Gateway`] sits between many serving clients and the `fhc-shardd`
 //! workers. It speaks the same wire protocol on both sides: to its clients
-//! it looks like a single worker serving *every* class (so
-//! [`RemoteBackend`] — and therefore [`GatewayBackend`] — connects to it
-//! unchanged), while behind it the fleet's real partitions stay hidden.
+//! it looks like a single worker serving *every* class (so a one-shard
+//! [`FleetBackend`](crate::shardnet::FleetBackend) — the `gateway:EP`
+//! spec — connects to it unchanged), while behind it the fleet's real
+//! partitions stay hidden.
 //! What the extra hop buys is **coalescing**: queries arriving concurrently
 //! from any number of client connections are packed into
 //! [`ScoreBatchRequest`](wire::ScoreBatchRequest) frames — one checksummed
@@ -32,23 +33,20 @@
 //! Client connections are served pipelined the same way: a reader thread
 //! submits every incoming query to the shard queues the moment it is
 //! decoded, and the connection's writer answers in request order as the
-//! merged rows complete. A worker advertising no batch support (see
-//! [`wire::FEATURE_SCORE_BATCH`]) degrades to pipelined single-query
-//! frames on that one connection; everything else is unaffected.
+//! merged rows complete. Every worker must advertise batch scoring
+//! ([`wire::FEATURE_SCORE_BATCH`]); one that does not is refused at
+//! connect.
 //!
-//! Failure keeps the same contract as [`RemoteBackend`]: a lost worker
+//! Failure keeps the same contract as the fleet client: a lost worker
 //! surfaces as a typed error frame to every affected client query — never
 //! a wrong or partial row — and the shard connection is re-dialed on the
 //! next query (see `RemoteWorker::submit`), so an idle-reaped or restarted
 //! worker heals without a gateway restart.
 
-use crate::backend::SimilarityBackend;
-use crate::error::FhcError;
 use crate::features::PreparedSampleFeatures;
-use crate::shardnet::remote::{connect_workers, RemoteBackend, RemoteWorker};
+use crate::shardnet::remote::{connect_workers, RemoteWorker};
 use crate::shardnet::wire::{self, ClientReply, Frame, Hello, ScoreBatchResponse, ScoreResponse};
-use crate::shardnet::worker::IDLE_TIMEOUT;
-use crate::shardnet::{Endpoint, NetError, IO_TIMEOUT};
+use crate::shardnet::{serve_listener, Endpoint, Listener, NetError};
 use crate::similarity::ReferenceSet;
 use hpcutil::PendingReply;
 use std::io::{Read, Write};
@@ -318,25 +316,18 @@ struct ShardHandle {
     queue: SyncSender<ShardJob>,
 }
 
-/// A batch (or single request) submitted to a shard's mux, paired with the
-/// jobs its rows answer. The distributor consumes these in submission
-/// order.
-enum InFlight {
-    Batch {
-        pending: PendingReply<ClientReply>,
-        jobs: Vec<ShardJob>,
-    },
-    Single {
-        pending: PendingReply<ClientReply>,
-        job: ShardJob,
-    },
+/// A batch submitted to a shard's mux, paired with the jobs its rows
+/// answer. The distributor consumes these in submission order.
+struct InFlight {
+    pending: PendingReply<ClientReply>,
+    jobs: Vec<ShardJob>,
 }
 
 /// The batching front door itself: validated connections to the whole
 /// shard fleet, one batcher/distributor thread pair per shard.
 ///
-/// Built with [`Gateway::connect`] (the same handshake, fingerprint, and
-/// exact-cover validation as [`RemoteBackend::connect`]) and served with
+/// Built with [`Gateway::connect`] (handshake, fingerprint, batch-support,
+/// and exact-cover validation) and served with
 /// [`serve_tcp`] / [`serve_unix`] — or driven in process through
 /// [`serve_client`]. Dropping the gateway closes the shard queues; the
 /// batcher and distributor threads drain what is in flight and exit on
@@ -369,8 +360,11 @@ impl std::fmt::Debug for Gateway {
 
 impl Gateway {
     /// Connect to the shard fleet at `endpoints` and spawn the per-shard
-    /// batching pipelines. Handshake validation and partition assignment
-    /// are exactly [`RemoteBackend::connect`]'s.
+    /// batching pipelines. A worker that fails the handshake — including
+    /// one without batch scoring — is a typed [`NetError::Handshake`]; an
+    /// advertised partition is kept when the workers' partitions cover
+    /// every class exactly once, otherwise unpartitioned workers are dealt
+    /// round-robin.
     pub fn connect(
         reference: Arc<ReferenceSet>,
         endpoints: &[Endpoint],
@@ -599,7 +593,7 @@ fn batcher_loop(worker: RemoteWorker, jobs: Receiver<ShardJob>, max_batch: usize
     // max_batch; an idle gateway sends small frames fast, a loaded one
     // packs big frames.
     let mut target = MIN_BATCH_TARGET.min(max_batch);
-    'serve: while let Ok(first) = jobs.recv() {
+    while let Ok(first) = jobs.recv() {
         // The coalescing moment: everything already queued — from any
         // client connection — rides in this frame, up to the current
         // adaptive target.
@@ -617,31 +611,18 @@ fn batcher_loop(worker: RemoteWorker, jobs: Receiver<ShardJob>, max_batch: usize
             fault_jobs(pack, &peer, e.to_string());
             continue;
         }
-        if worker.supports_batch {
-            let id = next_id;
-            next_id += 1;
-            let bytes = wire::score_batch_request_bytes(id, pack.iter().map(|j| j.query.as_ref()));
-            let pending = worker.submit(id, bytes);
-            if inflight_tx
-                .send(InFlight::Batch {
-                    pending,
-                    jobs: pack,
-                })
-                .is_err()
-            {
-                break 'serve;
-            }
-        } else {
-            // A batch-less worker still gets the pipelining: every request
-            // is on the wire before any reply is awaited.
-            for job in pack {
-                let id = next_id;
-                next_id += 1;
-                let pending = worker.submit(id, wire::score_request_bytes(id, &job.query));
-                if inflight_tx.send(InFlight::Single { pending, job }).is_err() {
-                    break 'serve;
-                }
-            }
+        let id = next_id;
+        next_id += 1;
+        let bytes = wire::score_batch_request_bytes(id, pack.iter().map(|j| j.query.as_ref()));
+        let pending = worker.submit(id, bytes);
+        if inflight_tx
+            .send(InFlight {
+                pending,
+                jobs: pack,
+            })
+            .is_err()
+        {
+            break;
         }
     }
     drop(inflight_tx);
@@ -656,72 +637,45 @@ fn batcher_loop(worker: RemoteWorker, jobs: Receiver<ShardJob>, max_batch: usize
 /// worker connection never wedges the gateway into answering every future
 /// query with `WorkerLost`.
 fn distributor_loop(inflight: Receiver<InFlight>, peer: &str) {
-    for entry in inflight {
+    for InFlight { pending, jobs } in inflight {
         // Failpoint: a distributor that cannot route a reply faults the
         // batch it was for; the abandoned `pending` is simply dropped.
         if let Err(e) = crate::shardnet::inject("gateway.distribute", peer) {
-            match entry {
-                InFlight::Batch { jobs, .. } => fault_jobs(jobs, peer, e.to_string()),
-                InFlight::Single { job, .. } => fault_jobs(vec![job], peer, e.to_string()),
-            }
+            fault_jobs(jobs, peer, e.to_string());
             continue;
         }
-        match entry {
-            InFlight::Batch { pending, jobs } => match pending.wait() {
-                Ok(ClientReply::Batch(response)) if response.rows.len() == jobs.len() => {
-                    for (job, row) in jobs.into_iter().zip(response.rows) {
-                        let _ = job.reply.send(Ok(row));
-                    }
+        match pending.wait() {
+            Ok(ClientReply::Batch(response)) if response.rows.len() == jobs.len() => {
+                for (job, row) in jobs.into_iter().zip(response.rows) {
+                    let _ = job.reply.send(Ok(row));
                 }
-                Ok(ClientReply::Batch(response)) => {
-                    let detail = format!(
-                        "batch reply carried {} rows for {} queries",
-                        response.rows.len(),
-                        jobs.len()
-                    );
-                    fault_jobs(jobs, peer, detail);
-                }
-                Ok(ClientReply::Score(_)) => {
-                    fault_jobs(
-                        jobs,
-                        peer,
-                        "single-row reply answering a batch request".into(),
-                    );
-                }
-                Ok(ClientReply::Overload(o)) => {
-                    // A worker shedding load behind the gateway is a shard
-                    // fault for the queries in flight, not something to
-                    // propagate as the gateway's own overload.
-                    let detail =
-                        format!("shard shed the batch: retry after {}ms", o.retry_after_ms);
-                    fault_jobs(jobs, peer, detail);
-                }
-                Err(e) => {
-                    let detail = e.to_string();
-                    fault_jobs(jobs, peer, detail);
-                }
-            },
-            InFlight::Single { pending, job } => match pending.wait() {
-                Ok(ClientReply::Score(response)) => {
-                    let _ = job.reply.send(Ok(response.cells));
-                }
-                Ok(ClientReply::Batch(_)) => {
-                    fault_jobs(
-                        vec![job],
-                        peer,
-                        "batch reply answering a single-query request".into(),
-                    );
-                }
-                Ok(ClientReply::Overload(o)) => {
-                    let detail =
-                        format!("shard shed the query: retry after {}ms", o.retry_after_ms);
-                    fault_jobs(vec![job], peer, detail);
-                }
-                Err(e) => {
-                    let detail = e.to_string();
-                    fault_jobs(vec![job], peer, detail);
-                }
-            },
+            }
+            Ok(ClientReply::Batch(response)) => {
+                let detail = format!(
+                    "batch reply carried {} rows for {} queries",
+                    response.rows.len(),
+                    jobs.len()
+                );
+                fault_jobs(jobs, peer, detail);
+            }
+            Ok(ClientReply::Score(_)) => {
+                fault_jobs(
+                    jobs,
+                    peer,
+                    "single-row reply answering a batch request".into(),
+                );
+            }
+            Ok(ClientReply::Overload(o)) => {
+                // A worker shedding load behind the gateway is a shard
+                // fault for the queries in flight, not something to
+                // propagate as the gateway's own overload.
+                let detail = format!("shard shed the batch: retry after {}ms", o.retry_after_ms);
+                fault_jobs(jobs, peer, detail);
+            }
+            Err(e) => {
+                let detail = e.to_string();
+                fault_jobs(jobs, peer, detail);
+            }
         }
     }
 }
@@ -1002,155 +956,38 @@ fn client_reader_loop<R: Read>(
     }
 }
 
-/// Accept-loop over a TCP listener: one pipelined [`serve_client`] per
-/// connection, reads bounded by [`IDLE_TIMEOUT`] and writes by
-/// [`IO_TIMEOUT`]. Returns when the listener itself fails.
+/// Serve `gateway` on a TCP listener through the shared accept loop: one
+/// pipelined [`serve_client`] per connection, reads bounded by
+/// [`IDLE_TIMEOUT`](crate::shardnet::worker::IDLE_TIMEOUT) and writes by
+/// [`IO_TIMEOUT`](crate::shardnet::IO_TIMEOUT). Returns when the listener
+/// itself fails.
 pub fn serve_tcp(gateway: Arc<Gateway>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let peer = stream
-                    .peer_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| "tcp client".to_string());
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                // A client that stops reading must not pin this
-                // connection's writer in write_all forever.
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let gateway = Arc::clone(&gateway);
-                super::spawn_detached("gateway-conn", move || {
-                    let reader = match stream.try_clone() {
-                        Ok(reader) => reader,
-                        Err(e) => {
-                            eprintln!("fhc-gateway: cannot split connection with {peer}: {e}");
-                            return;
-                        }
-                    };
-                    let result = serve_client(&gateway, reader, &stream, &peer);
-                    // Unblocks the reader thread if the writer bailed first.
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    if let Err(e) = result {
-                        eprintln!("fhc-gateway: connection with {peer} failed: {e}");
-                    }
-                });
-            }
-            Err(_) => return,
-        }
-    }
+    serve(gateway, listener);
 }
 
-/// Accept-loop over a Unix-domain listener; see [`serve_tcp`].
+/// [`serve_tcp`] over a Unix-domain listener.
 pub fn serve_unix(gateway: Arc<Gateway>, listener: UnixListener) {
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let gateway = Arc::clone(&gateway);
-                super::spawn_detached("gateway-conn", move || {
-                    let reader = match stream.try_clone() {
-                        Ok(reader) => reader,
-                        Err(e) => {
-                            eprintln!("fhc-gateway: cannot split unix connection: {e}");
-                            return;
-                        }
-                    };
-                    let result = serve_client(&gateway, reader, &stream, "unix client");
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    if let Err(e) = result {
-                        eprintln!("fhc-gateway: unix connection failed: {e}");
-                    }
-                });
-            }
-            Err(_) => return,
-        }
-    }
+    serve(gateway, listener);
 }
 
-/// A [`SimilarityBackend`] that scores through an `fhc-gateway` front
-/// door.
-///
-/// On the wire this *is* a [`RemoteBackend`] with one endpoint — the
-/// gateway answers the same handshake as a worker serving every class —
-/// so every serving guarantee (typed errors, byte-identical rows) carries
-/// over unchanged. The type exists so a topology's configuration
-/// round-trips faithfully: `gateway:EP` names a front door, not a bare
-/// worker.
-#[derive(Debug, Clone)]
-pub struct GatewayBackend {
-    inner: RemoteBackend,
-    endpoint: Endpoint,
-}
-
-impl GatewayBackend {
-    /// Connect to the gateway at `endpoint` and validate its handshake
-    /// against `reference` (fingerprint, geometry, protocol version).
-    pub fn connect(reference: Arc<ReferenceSet>, endpoint: &Endpoint) -> Result<Self, NetError> {
-        Self::connect_tenant(reference, endpoint, None)
-    }
-
-    /// [`GatewayBackend::connect`] against a named tenant: the handshake
-    /// selects (and then enforces) `tenant` on the gateway, which must
-    /// have been started to serve it. `None` means the default tenant.
-    pub fn connect_tenant(
-        reference: Arc<ReferenceSet>,
-        endpoint: &Endpoint,
-        tenant: Option<&str>,
-    ) -> Result<Self, NetError> {
-        let inner =
-            RemoteBackend::connect_tenant(reference, std::slice::from_ref(endpoint), tenant)?;
-        Ok(Self {
-            inner,
-            endpoint: endpoint.clone(),
-        })
-    }
-
-    /// The gateway endpoint this backend scores through.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
-
-    /// The tenant selected at connect time, or `None` for the default
-    /// tenant.
-    pub fn tenant(&self) -> Option<&str> {
-        self.inner.tenant()
-    }
-
-    /// Batch row scoring through the gateway: the whole slice rides as
-    /// [`wire::ScoreBatchRequest`] frames, which is exactly the shape the gateway coalesces best —
-    /// each chunk is split across the shard fleet as one batched frame per
-    /// shard. See [`RemoteBackend::try_feature_rows_prepared`].
-    pub fn try_feature_rows_prepared(
-        &self,
-        queries: &[PreparedSampleFeatures],
-    ) -> Result<Vec<Vec<f64>>, NetError> {
-        self.inner.try_feature_rows_prepared(queries)
-    }
-}
-
-impl SimilarityBackend for GatewayBackend {
-    fn reference(&self) -> &ReferenceSet {
-        self.inner.reference()
-    }
-
-    fn max_scores_into(&self, query: &PreparedSampleFeatures, out: &mut [f64]) {
-        self.inner.max_scores_into(query, out);
-    }
-
-    fn try_max_scores_into(
-        &self,
-        query: &PreparedSampleFeatures,
-        out: &mut [f64],
-    ) -> Result<(), FhcError> {
-        self.inner.try_max_scores_into(query, out)
-    }
+fn serve<L: Listener>(gateway: Arc<Gateway>, listener: L) {
+    serve_listener(listener, "fhc-gateway", move |mut conn, peer| {
+        let reader = L::try_clone(&conn).map_err(|source| NetError::Io {
+            peer: peer.to_string(),
+            source,
+        })?;
+        let result = serve_client(&gateway, reader, &mut conn, peer);
+        // Unblocks the reader thread if the writer bailed first.
+        L::shutdown(&conn);
+        result
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendConfig;
+    use crate::backend::{AnyBackend, BackendConfig, SimilarityBackend};
+    use crate::error::FhcError;
     use crate::features::{FeatureKind, SampleFeatures};
     use crate::shardnet::worker::{self, ShardWorker};
 
@@ -1176,6 +1013,15 @@ mod tests {
         Endpoint::Tcp(addr)
     }
 
+    /// A `gateway:` backend (a one-shard fleet) pointed at `front`.
+    fn dial(rs: &Arc<ReferenceSet>, front: &Endpoint) -> AnyBackend {
+        format!("gateway:{front}")
+            .parse::<BackendConfig>()
+            .expect("gateway spec")
+            .try_build(Arc::clone(rs))
+            .expect("dial gateway")
+    }
+
     fn spawn_gateway(gateway: Gateway) -> Endpoint {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback gateway");
         let addr = listener.local_addr().unwrap().to_string();
@@ -1193,7 +1039,7 @@ mod tests {
         assert_eq!(gateway.n_shards(), 2);
         let front = spawn_gateway(gateway);
 
-        let backend = GatewayBackend::connect(rs.clone(), &front).expect("dial gateway");
+        let backend = dial(&rs, &front);
         let indexed = BackendConfig::Indexed.build(rs.clone());
         for body in [
             b"the velvet assembler executable body five".as_slice(),
@@ -1239,7 +1085,7 @@ mod tests {
         )
         .expect("connect");
         let front = spawn_gateway(gateway);
-        let backend = GatewayBackend::connect(rs.clone(), &front).expect("dial gateway");
+        let backend = dial(&rs, &front);
 
         let indexed = crate::backend::BackendConfig::Indexed.build(rs.clone());
         let query = PreparedSampleFeatures::prepare(&SampleFeatures::extract(
@@ -1263,7 +1109,7 @@ mod tests {
                         break;
                     }
                 }
-                Err(crate::error::FhcError::Net(_)) => {
+                Err(FhcError::Net(_)) => {
                     std::thread::sleep(std::time::Duration::from_millis(25));
                 }
                 Err(other) => panic!("expected a typed net error, got {other}"),
@@ -1447,7 +1293,7 @@ mod tests {
         };
         let gateway = Gateway::connect(rs.clone(), &endpoints, options).expect("connect");
         let front = spawn_gateway(gateway);
-        let backend = GatewayBackend::connect(rs.clone(), &front).expect("dial gateway");
+        let backend = dial(&rs, &front);
 
         let indexed = BackendConfig::Indexed.build(rs.clone());
         let query = PreparedSampleFeatures::prepare(&SampleFeatures::extract(

@@ -1,11 +1,8 @@
 //! Distributed shard serving: reference-set shards behind a transport.
 //!
-//! [`ShardedBackend`](crate::backend::ShardedBackend) proved the
-//! partition/max-merge contract in process: reference *classes* are
-//! partitioned across shards, each shard scores its `(view, class)` cells,
-//! and the partial rows max-merge into the full similarity row. This module
-//! moves the shards behind a socket so the same contract scales across
-//! processes and machines:
+//! Reference *classes* are partitioned across shard worker processes, each
+//! worker scores its `(view, class)` cells, and the partial rows max-merge
+//! into the full similarity row:
 //!
 //! * [`wire`] — the versioned, checksummed, length-prefixed protocol
 //!   (built on [`hpcutil::frame`]): a [`Hello`](wire::Hello) handshake
@@ -18,20 +15,23 @@
 //!   scores its class partition through the same block-size-bucketed index
 //!   as [`IndexedBackend`](crate::backend::IndexedBackend), and answers
 //!   score requests over any `Read + Write` stream. The `fhc-shardd` binary
-//!   wraps it in a TCP / Unix-socket accept loop.
-//! * [`remote`] — [`RemoteBackend`], the client
-//!   side: a [`SimilarityBackend`](crate::backend::SimilarityBackend) whose
-//!   `max_scores_into` fans out to N workers over persistent connections
-//!   and max-merges their partial rows. Byte-identical to every in-process
-//!   backend by the existing equivalence suites. Connections are driven by
-//!   a [`hpcutil::Mux`], so concurrent callers pipeline over one socket
-//!   per worker instead of serializing behind a connection lock.
+//!   serves it through the accept loop of this module.
+//! * [`fleet`] — [`FleetBackend`], the one client: a
+//!   [`SimilarityBackend`](crate::backend::SimilarityBackend) whose
+//!   `max_scores_into` fans out to its shards over persistent connections
+//!   and max-merges their partial rows, with replicas raced by hedged
+//!   requests. Byte-identical to every in-process backend by the existing
+//!   equivalence suites. Connections are driven by a [`hpcutil::Mux`], so
+//!   concurrent callers pipeline over one socket per worker instead of
+//!   serializing behind a connection lock.
 //! * [`gateway`] — [`Gateway`], a batching front
 //!   door: it accepts many client connections, coalesces concurrently
 //!   arriving queries into [`ScoreBatchRequest`](wire::ScoreBatchRequest)
 //!   frames per shard, and presents the whole fleet to its clients as one
-//!   worker serving every class. The `fhc-gateway` binary wraps it in an
-//!   accept loop; [`GatewayBackend`] (`gateway:EP`) is the client side.
+//!   worker serving every class. The `fhc-gateway` binary serves it; a
+//!   `gateway:EP` backend spec is a one-shard fleet pointed at it.
+//! * [`remote`] — the handshake both clients share, and the gateway's
+//!   shard connections.
 //!
 //! Failure is a first-class outcome: a worker that dies mid-batch surfaces
 //! as a typed [`NetError`] through the `try_*` serving APIs — never as a
@@ -39,10 +39,12 @@
 
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::Arc;
+use std::time::Duration;
 
 pub mod deadlines;
 pub mod fleet;
@@ -52,8 +54,7 @@ pub mod wire;
 pub mod worker;
 
 pub use fleet::{BackoffPolicy, FleetBackend, FleetShard, FleetTopology, FleetTuning, FleetView};
-pub use gateway::{Gateway, GatewayBackend, GatewayOptions};
-pub use remote::RemoteBackend;
+pub use gateway::{Gateway, GatewayOptions};
 pub use worker::{ShardWorker, TenantHost, WorkerHost};
 
 /// Where a shard worker listens.
@@ -69,7 +70,7 @@ pub enum Endpoint {
 }
 
 pub use deadlines::IO_TIMEOUT;
-pub(crate) use deadlines::MUX_POLL_INTERVAL;
+pub(crate) use deadlines::{IDLE_TIMEOUT, MUX_POLL_INTERVAL};
 
 /// Check a named failpoint and map an injected fault to the typed
 /// [`NetError`] a real fault at that site would produce. Compiles to an
@@ -112,6 +113,101 @@ pub(crate) fn spawn_detached(name: &str, f: impl FnOnce() + Send + 'static) {
         // Out of threads: shed this connection instead of crashing the
         // accept loop; the peer sees a dropped socket and may retry.
         eprintln!("shardnet: could not spawn {name}: {e}");
+    }
+}
+
+/// A listening socket a serving daemon accepts connections from: TCP or
+/// Unix-domain. The serving-side operations on an accepted connection are
+/// associated functions, so [`serve_listener`] is written once for both.
+pub(crate) trait Listener {
+    /// An accepted connection.
+    type Conn: Read + Write + Send + 'static;
+    /// Accept the next connection and name its peer. TCP connections get
+    /// `TCP_NODELAY`: score requests are small and latency-bound.
+    fn accept(&self) -> std::io::Result<(Self::Conn, String)>;
+    /// Set `conn`'s read deadline.
+    fn set_read_timeout(conn: &Self::Conn, timeout: Duration) -> std::io::Result<()>;
+    /// Set `conn`'s write deadline.
+    fn set_write_timeout(conn: &Self::Conn, timeout: Duration) -> std::io::Result<()>;
+    /// A second handle on `conn`, for a reader thread.
+    fn try_clone(conn: &Self::Conn) -> std::io::Result<Self::Conn>;
+    /// Shut down both directions of `conn`, unblocking its other handles.
+    fn shutdown(conn: &Self::Conn);
+}
+
+impl Listener for TcpListener {
+    type Conn = TcpStream;
+
+    fn accept(&self) -> std::io::Result<(TcpStream, String)> {
+        let (stream, addr) = TcpListener::accept(self)?;
+        let _ = stream.set_nodelay(true);
+        Ok((stream, addr.to_string()))
+    }
+
+    fn set_read_timeout(conn: &TcpStream, timeout: Duration) -> std::io::Result<()> {
+        conn.set_read_timeout(Some(timeout))
+    }
+
+    fn set_write_timeout(conn: &TcpStream, timeout: Duration) -> std::io::Result<()> {
+        conn.set_write_timeout(Some(timeout))
+    }
+
+    fn try_clone(conn: &TcpStream) -> std::io::Result<TcpStream> {
+        conn.try_clone()
+    }
+
+    fn shutdown(conn: &TcpStream) {
+        let _ = conn.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+impl Listener for UnixListener {
+    type Conn = UnixStream;
+
+    fn accept(&self) -> std::io::Result<(UnixStream, String)> {
+        let (stream, _) = UnixListener::accept(self)?;
+        Ok((stream, "unix client".to_string()))
+    }
+
+    fn set_read_timeout(conn: &UnixStream, timeout: Duration) -> std::io::Result<()> {
+        conn.set_read_timeout(Some(timeout))
+    }
+
+    fn set_write_timeout(conn: &UnixStream, timeout: Duration) -> std::io::Result<()> {
+        conn.set_write_timeout(Some(timeout))
+    }
+
+    fn try_clone(conn: &UnixStream) -> std::io::Result<UnixStream> {
+        conn.try_clone()
+    }
+
+    fn shutdown(conn: &UnixStream) {
+        let _ = conn.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// The accept loop of every serving daemon: one detached thread per
+/// connection running `serve`, reads bounded by [`IDLE_TIMEOUT`] and
+/// writes by [`IO_TIMEOUT`], failures logged to stderr under `name`.
+/// Returns when the listener itself fails (e.g. it was closed out from
+/// under the loop).
+pub(crate) fn serve_listener<L: Listener>(
+    listener: L,
+    name: &'static str,
+    serve: impl Fn(L::Conn, &str) -> Result<(), NetError> + Send + Sync + 'static,
+) {
+    let serve = Arc::new(serve);
+    while let Ok((conn, peer)) = listener.accept() {
+        let _ = L::set_read_timeout(&conn, IDLE_TIMEOUT);
+        // A client that stops reading must not pin its serving thread in
+        // write_all forever.
+        let _ = L::set_write_timeout(&conn, IO_TIMEOUT);
+        let serve = Arc::clone(&serve);
+        spawn_detached(name, move || {
+            if let Err(e) = serve(conn, &peer) {
+                eprintln!("{name}: connection with {peer} failed: {e}");
+            }
+        });
     }
 }
 

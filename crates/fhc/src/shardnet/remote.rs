@@ -1,42 +1,22 @@
-//! The client side of the shard protocol: a [`SimilarityBackend`] that fans
-//! out over the network.
-//!
-//! [`RemoteBackend`] holds one persistent connection per shard worker, each
-//! driven by a [`hpcutil::Mux`]: a dedicated writer thread and reader
-//! thread per socket, with responses correlated back to callers by the
-//! request id every `ScoreRequest` carries. A query is *submitted* to every
-//! worker (a channel send each — the mux writer threads put the frames on
-//! the wire concurrently and coalesce adjacent writes), then the partial
-//! rows are awaited and max-merged — the exact contract of
-//! [`ShardedBackend`](crate::backend::ShardedBackend), with the scoped
-//! threads replaced by sockets.
-//!
-//! Because no caller ever holds a connection lock across a round trip, any
-//! number of batch threads **pipeline** over the same N sockets: while one
-//! query's responses are in flight, the next queries' requests are already
-//! on the wire. This is what makes one connection per worker enough for a
-//! whole process, and it needs no fan-out thread pool — submitting is
-//! cheap, and the mux threads do the blocking.
+//! The shard-protocol handshake, shared by both clients of `fhc-shardd`
+//! workers: the [`FleetBackend`](crate::shardnet::FleetBackend) and the
+//! gateway's shard side.
 //!
 //! Every connection is validated at handshake time: protocol version,
-//! reference-set fingerprint, and column geometry must match, and the
-//! ensemble of worker partitions must cover every class exactly once. A
-//! worker that dies mid-batch yields a typed [`NetError`] through the
-//! `try_*` APIs — never a wrong or partial row — and the failed connection
-//! is re-dialed (handshake re-validated, partition re-assigned) on the
-//! next query, so an idle-reaped or restarted worker heals instead of
-//! wedging the backend.
+//! reference-set fingerprint, column geometry, and batch scoring
+//! ([`wire::FEATURE_SCORE_BATCH`]) must match, and a worker is assigned
+//! the partition its client expects. `RemoteWorker` is the gateway's
+//! mux-driven connection to one worker: a lost connection is re-dialed
+//! (handshake re-validated, partition re-assigned) on the next query, so
+//! an idle-reaped or restarted worker heals instead of wedging the gateway.
 
-use crate::backend::{round_robin_partition, SimilarityBackend};
-use crate::error::FhcError;
-use crate::features::PreparedSampleFeatures;
+use crate::backend::round_robin_partition;
 use crate::shardnet::wire::{self, ClientReply, Frame, Hello};
 use crate::shardnet::{Endpoint, NetError, SplitConn, IO_TIMEOUT, MUX_POLL_INTERVAL};
 use crate::similarity::ReferenceSet;
 use hpcutil::{Mux, MuxError, MuxErrorKind, MuxOptions, PendingReply};
 use std::io::Read;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The handshake values a reconnected worker must reproduce; see
 /// [`RemoteWorker::submit`]. Captured at first connect, after validation
@@ -61,14 +41,12 @@ impl HandshakeExpect {
 }
 
 /// One connected shard worker: its validated partition and the multiplexer
-/// pipelining requests over its socket. Shared with the gateway, which
-/// wraps these in per-shard batcher threads.
+/// pipelining requests over its socket. The gateway wraps these in
+/// per-shard batcher threads.
 pub(crate) struct RemoteWorker {
     pub(crate) endpoint: Endpoint,
     /// The classes this worker scores (sorted), per its final handshake.
     pub(crate) classes: Vec<usize>,
-    /// Whether the worker advertised [`wire::FEATURE_SCORE_BATCH`].
-    pub(crate) supports_batch: bool,
     expect: HandshakeExpect,
     /// The live multiplexer, swapped for a fresh connection by
     /// [`RemoteWorker::submit`] once the current one is poisoned.
@@ -139,12 +117,7 @@ impl RemoteWorker {
         if hello.classes != self.classes {
             hello = assign_partition(&mut conn, &peer, self.classes.clone())?;
         }
-        if self.supports_batch && !hello.supports(wire::FEATURE_SCORE_BATCH) {
-            return Err(NetError::Handshake {
-                peer,
-                detail: "reconnected worker no longer advertises batch scoring".into(),
-            });
-        }
+        require_batch(&peer, &hello)?;
         spawn_mux(conn, peer)
     }
 }
@@ -177,23 +150,21 @@ impl std::fmt::Debug for RemoteWorker {
         f.debug_struct("RemoteWorker")
             .field("endpoint", &self.endpoint)
             .field("classes", &self.classes)
-            .field("supports_batch", &self.supports_batch)
             .finish_non_exhaustive()
     }
 }
 
 /// Dial, handshake, and validate every endpoint, returning one mux-driven
-/// [`RemoteWorker`] per connection. Shared by [`RemoteBackend::connect`]
-/// and the gateway.
+/// [`RemoteWorker`] per connection — the gateway's shard side.
 ///
 /// Each worker's handshake must match the local protocol version,
-/// reference fingerprint, and column geometry. If the advertised class
-/// partitions already cover every class exactly once they are used as is;
-/// if instead every worker advertises *all* classes (the default state of
-/// an unpartitioned `fhc-shardd`), the classes are dealt round-robin
-/// across the workers — the same partition rule as
-/// [`ShardedBackend`](crate::backend::ShardedBackend) — and assigned over
-/// the wire. Anything else is a [`NetError::Partition`].
+/// reference fingerprint, and column geometry, and must advertise batch
+/// scoring. If the advertised class partitions already cover every class
+/// exactly once they are used as is; if instead every worker advertises
+/// *all* classes (the default state of an unpartitioned `fhc-shardd`), the
+/// classes are dealt round-robin across the workers
+/// ([`round_robin_partition`]) and assigned over the wire. Anything else
+/// is a [`NetError::Partition`].
 pub(crate) fn connect_workers(
     reference: &ReferenceSet,
     endpoints: &[Endpoint],
@@ -226,6 +197,7 @@ pub(crate) fn connect_workers(
             }
         }
         validate_hello(&expect, &peer, &hello)?;
+        require_batch(&peer, &hello)?;
         conns.push((endpoint.clone(), conn, hello));
     }
 
@@ -262,7 +234,6 @@ pub(crate) fn connect_workers(
             let mux = spawn_mux(conn, endpoint.to_string())?;
             Ok(RemoteWorker {
                 endpoint,
-                supports_batch: hello.supports(wire::FEATURE_SCORE_BATCH),
                 classes: hello.classes,
                 expect: expect.clone(),
                 mux: Mutex::new(mux),
@@ -271,277 +242,12 @@ pub(crate) fn connect_workers(
         .collect()
 }
 
-/// A [`SimilarityBackend`] that fans `max_scores_into` out to shard workers
-/// over persistent, pipelined connections and max-merges their partial
-/// rows.
-///
-/// Built with [`RemoteBackend::connect`] (or through
-/// [`BackendConfig::Remote`](crate::backend::BackendConfig::Remote)).
-/// Cloning shares the connections. Remote scoring can fail at any time
-/// (workers are separate processes); use the `try_*` serving APIs — the
-/// infallible [`SimilarityBackend::max_scores_into`] panics on transport
-/// errors.
-#[derive(Debug, Clone)]
-pub struct RemoteBackend {
-    reference: Arc<ReferenceSet>,
-    workers: Vec<Arc<RemoteWorker>>,
-    next_id: Arc<AtomicU64>,
-}
-
-impl RemoteBackend {
-    /// Connect to shard workers at `endpoints` and validate that together
-    /// they serve exactly `reference` (see `connect_workers` for the
-    /// handshake and partition rules).
-    pub fn connect(reference: Arc<ReferenceSet>, endpoints: &[Endpoint]) -> Result<Self, NetError> {
-        Self::connect_tenant(reference, endpoints, None)
-    }
-
-    /// [`RemoteBackend::connect`] bound to a specific tenant on each
-    /// worker daemon: the tenant is selected over the wire after every
-    /// (re)connect, and a worker greeting for any other tenant is a typed
-    /// [`NetError::Tenant`].
-    pub fn connect_tenant(
-        reference: Arc<ReferenceSet>,
-        endpoints: &[Endpoint],
-        tenant: Option<&str>,
-    ) -> Result<Self, NetError> {
-        let workers = connect_workers(&reference, endpoints, tenant)?
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        Ok(Self {
-            reference,
-            workers,
-            next_id: Arc::new(AtomicU64::new(0)),
-        })
-    }
-
-    /// Number of connected workers.
-    pub fn n_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The classes one worker scores.
-    pub fn worker_classes(&self, worker: usize) -> &[usize] {
-        &self.workers[worker].classes
-    }
-
-    /// The endpoints this backend is connected to, in worker order.
-    pub fn endpoints(&self) -> Vec<Endpoint> {
-        self.workers.iter().map(|w| w.endpoint.clone()).collect()
-    }
-
-    /// The tenant selected at connect time, or `None` for the default
-    /// tenant. Every worker shares one handshake expectation, so the
-    /// first worker's answer is the backend's.
-    pub fn tenant(&self) -> Option<&str> {
-        self.workers
-            .first()
-            .and_then(|w| w.expect.tenant.as_deref())
-    }
-
-    /// Fan one query out to every worker and max-merge the partial rows
-    /// into `out`. Any worker failure aborts the row with a typed error.
-    ///
-    /// The fan-out is pipelined: the request is *submitted* to every
-    /// worker's mux first (cheap channel sends; the sockets are written by
-    /// the mux writer threads, concurrently), and only then are the replies
-    /// awaited. Concurrent callers interleave freely on the same
-    /// connections.
-    fn fan_out(&self, query: &PreparedSampleFeatures, out: &mut [f64]) -> Result<(), NetError> {
-        assert_eq!(out.len(), self.reference.n_columns(), "row width mismatch");
-        out.fill(0.0);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // One encoding pass per query — the frame is identical for every
-        // worker.
-        let request_bytes = wire::score_request_bytes(id, query);
-        let pending: Vec<_> = self
-            .workers
-            .iter()
-            .map(|worker| {
-                crate::shardnet::inject("remote.batch_send", &worker.endpoint.to_string())?;
-                Ok(worker.submit(id, request_bytes.clone()))
-            })
-            .collect::<Result<_, NetError>>()?;
-        // Await every reply before surfacing an error: each submitted
-        // request either completes or fails on its own connection, and an
-        // early return would abandon replies for no gain.
-        let replies: Vec<Result<ClientReply, MuxError>> =
-            pending.into_iter().map(|p| p.wait()).collect();
-
-        let n_classes = self.reference.n_classes();
-        for (worker, reply) in self.workers.iter().zip(replies) {
-            let peer = worker.endpoint.to_string();
-            let response = match reply.map_err(|e| net_error_from_mux(&peer, e))? {
-                ClientReply::Score(response) => response,
-                ClientReply::Overload(o) => {
-                    return Err(NetError::Overload {
-                        peer,
-                        retry_after_ms: o.retry_after_ms,
-                    });
-                }
-                ClientReply::Batch(_) => {
-                    return Err(NetError::Protocol {
-                        peer,
-                        detail: "batch response answering a single-query request".into(),
-                    });
-                }
-            };
-            debug_assert_eq!(response.id, id, "mux correlates replies by id");
-            merge_partial_row(&peer, &worker.classes, n_classes, response.cells, out)?;
-        }
-        Ok(())
-    }
-
-    /// Score a whole slice of prepared queries and return their dense,
-    /// max-merged rows — the batch counterpart of
-    /// [`try_max_scores_into`](SimilarityBackend::try_max_scores_into).
-    ///
-    /// This is the client side of the wire-level batching workers
-    /// advertise via [`wire::FEATURE_SCORE_BATCH`]: the queries ride to
-    /// each worker as [`wire::ScoreBatchRequest`] frames of up to 64
-    /// queries, so the per-frame cost — syscalls, framing,
-    /// thread wake-ups — is paid once per chunk instead of once per query,
-    /// and each worker scores a chunk's rows back to back off a single
-    /// read. A worker that did not advertise batch support is fed
-    /// pipelined single-query frames instead; the rows are byte-identical
-    /// either way.
-    pub fn try_feature_rows_prepared(
-        &self,
-        queries: &[PreparedSampleFeatures],
-    ) -> Result<Vec<Vec<f64>>, NetError> {
-        let n_columns = self.reference.n_columns();
-        let n_classes = self.reference.n_classes();
-        // A worker serving every class (a gateway, or a lone unpartitioned
-        // worker) answers with rows dense over all columns, so the chunk
-        // size must keep even that worst-case response under the frame
-        // budget.
-        let client_batch = CLIENT_BATCH.min(wire::max_batch_rows_for(n_columns));
-        let mut rows = vec![vec![0.0f64; n_columns]; queries.len()];
-        for (chunk_index, chunk) in queries.chunks(client_batch).enumerate() {
-            let out = &mut rows[chunk_index * client_batch..][..chunk.len()];
-            // Submit to every worker before waiting on any reply — the
-            // same pipelining rule as `fan_out`, with one frame per worker
-            // per chunk on the batch path.
-            let submitted: Vec<Submitted> = self
-                .workers
-                .iter()
-                .map(|worker| {
-                    crate::shardnet::inject("remote.batch_send", &worker.endpoint.to_string())?;
-                    Ok(if worker.supports_batch {
-                        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                        let frame = wire::score_batch_request_bytes(id, chunk);
-                        Submitted::Batch(worker.submit(id, frame))
-                    } else {
-                        Submitted::Singles(
-                            chunk
-                                .iter()
-                                .map(|query| {
-                                    let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                                    worker.submit(id, wire::score_request_bytes(id, query))
-                                })
-                                .collect(),
-                        )
-                    })
-                })
-                .collect::<Result<_, NetError>>()?;
-            // Await every reply before surfacing an error, as in
-            // `fan_out`.
-            let waited: Vec<Waited> = submitted
-                .into_iter()
-                .map(|s| match s {
-                    Submitted::Batch(pending) => Waited::Batch(pending.wait()),
-                    Submitted::Singles(pendings) => {
-                        Waited::Singles(pendings.into_iter().map(|p| p.wait()).collect())
-                    }
-                })
-                .collect();
-            for (worker, waited) in self.workers.iter().zip(waited) {
-                let peer = worker.endpoint.to_string();
-                match waited {
-                    Waited::Batch(reply) => {
-                        let batch = match reply.map_err(|e| net_error_from_mux(&peer, e))? {
-                            ClientReply::Batch(batch) => batch,
-                            ClientReply::Overload(o) => {
-                                return Err(NetError::Overload {
-                                    peer,
-                                    retry_after_ms: o.retry_after_ms,
-                                });
-                            }
-                            ClientReply::Score(_) => {
-                                return Err(NetError::Protocol {
-                                    peer,
-                                    detail: "single response answering a batch request".into(),
-                                });
-                            }
-                        };
-                        if batch.rows.len() != chunk.len() {
-                            return Err(NetError::Protocol {
-                                peer,
-                                detail: format!(
-                                    "batch response carries {} rows for {} queries",
-                                    batch.rows.len(),
-                                    chunk.len()
-                                ),
-                            });
-                        }
-                        for (cells, row) in batch.rows.into_iter().zip(out.iter_mut()) {
-                            merge_partial_row(&peer, &worker.classes, n_classes, cells, row)?;
-                        }
-                    }
-                    Waited::Singles(replies) => {
-                        for (reply, row) in replies.into_iter().zip(out.iter_mut()) {
-                            let response = match reply.map_err(|e| net_error_from_mux(&peer, e))? {
-                                ClientReply::Score(response) => response,
-                                ClientReply::Overload(o) => {
-                                    return Err(NetError::Overload {
-                                        peer,
-                                        retry_after_ms: o.retry_after_ms,
-                                    });
-                                }
-                                ClientReply::Batch(_) => {
-                                    return Err(NetError::Protocol {
-                                        peer,
-                                        detail: "batch response answering a single-query \
-                                                     request"
-                                            .into(),
-                                    });
-                                }
-                            };
-                            merge_partial_row(
-                                &peer,
-                                &worker.classes,
-                                n_classes,
-                                response.cells,
-                                row,
-                            )?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(rows)
-    }
-}
-
 /// How many queries ride in one client-side batch frame: enough to
 /// amortize the per-frame cost over many rows, small enough to bound the
 /// frame size and one lost frame's blast radius. Further clamped per
 /// geometry by [`wire::max_batch_rows_for`] so the dense response can
 /// never exceed [`wire::MAX_FRAME_PAYLOAD`].
 pub(crate) const CLIENT_BATCH: usize = 64;
-
-/// Per-worker in-flight state of one batch chunk.
-enum Submitted {
-    Batch(PendingReply<ClientReply>),
-    Singles(Vec<PendingReply<ClientReply>>),
-}
-
-/// The awaited counterpart of [`Submitted`].
-enum Waited {
-    Batch(Result<ClientReply, MuxError>),
-    Singles(Vec<Result<ClientReply, MuxError>>),
-}
 
 /// Max-merge one worker's partial `(column, score)` cells into a dense
 /// row, rejecting any cell outside the worker's own partition — a buggy
@@ -652,6 +358,18 @@ pub(crate) fn validate_hello(
     Ok(())
 }
 
+/// Refuse a worker that does not advertise [`wire::FEATURE_SCORE_BATCH`]:
+/// every in-tree server does, and both clients score in batch frames.
+pub(crate) fn require_batch(peer: &str, hello: &Hello) -> Result<(), NetError> {
+    if hello.supports(wire::FEATURE_SCORE_BATCH) {
+        return Ok(());
+    }
+    Err(NetError::Handshake {
+        peer: peer.to_string(),
+        detail: "the worker does not advertise batch scoring, which serving requires".into(),
+    })
+}
+
 /// Whether the class lists cover `0..n_classes` exactly once each.
 pub(crate) fn is_exact_cover<'a>(
     n_classes: usize,
@@ -736,39 +454,43 @@ pub(crate) fn assign_partition(
     Ok(hello)
 }
 
-impl SimilarityBackend for RemoteBackend {
-    fn reference(&self) -> &ReferenceSet {
-        &self.reference
-    }
-
-    /// Infallible scoring is impossible over a network; this panics on any
-    /// transport failure. Serve remote topologies through the `try_*` APIs
-    /// ([`SimilarityBackend::try_max_scores_into`],
-    /// [`TrainedClassifier::try_classify`](crate::serving::TrainedClassifier::try_classify)).
-    fn max_scores_into(&self, query: &PreparedSampleFeatures, out: &mut [f64]) {
-        self.fan_out(query, out).unwrap_or_else(|e| {
-            // fhc-lint: allow(no_panic) -- documented trait contract: the infallible API cannot express transport failure; remote serving goes through try_max_scores_into
-            panic!("remote similarity backend failed (use the try_* serving APIs): {e}")
-        });
-    }
-
-    fn try_max_scores_into(
-        &self,
-        query: &PreparedSampleFeatures,
-        out: &mut [f64],
-    ) -> Result<(), FhcError> {
-        self.fan_out(query, out).map_err(FhcError::Net)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendConfig;
-    use crate::features::{FeatureKind, SampleFeatures};
+    use crate::backend::{BackendConfig, SimilarityBackend};
+    use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
     use crate::shardnet::worker::ShardWorker;
     use std::net::TcpListener;
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    /// Score one query through `worker` as the gateway's batcher does (a
+    /// one-query batch frame), returning the dense row.
+    fn score(
+        worker: &RemoteWorker,
+        rs: &ReferenceSet,
+        id: u64,
+        query: &PreparedSampleFeatures,
+    ) -> Result<Vec<f64>, NetError> {
+        let peer = worker.endpoint.to_string();
+        let frame = wire::score_batch_request_bytes(id, std::slice::from_ref(query));
+        let reply = worker
+            .submit(id, frame)
+            .wait()
+            .map_err(|e| net_error_from_mux(&peer, e))?;
+        let ClientReply::Batch(mut batch) = reply else {
+            panic!("expected a batch reply, got {reply:?}");
+        };
+        let mut row = vec![0.0f64; rs.n_columns()];
+        merge_partial_row(
+            &peer,
+            &worker.classes,
+            rs.n_classes(),
+            batch.rows.remove(0),
+            &mut row,
+        )?;
+        Ok(row)
+    }
 
     #[test]
     fn a_dropped_worker_connection_is_redialed_on_a_later_query() {
@@ -800,35 +522,28 @@ mod tests {
             }
         });
 
-        let backend = RemoteBackend::connect(rs.clone(), &[Endpoint::Tcp(addr)]).expect("connect");
+        let workers = connect_workers(&rs, &[Endpoint::Tcp(addr)], None).expect("connect");
+        let worker = &workers[0];
         let indexed = BackendConfig::Indexed.build(rs.clone());
         let query = PreparedSampleFeatures::prepare(&SampleFeatures::extract(
             b"the velvet assembler executable redial probe",
         ));
-        let mut expected = vec![0.0f64; rs.n_columns()];
-        indexed.max_scores_into(&query, &mut expected);
+        let expected = indexed.feature_vector_prepared(&query);
 
-        let mut row = vec![0.0f64; rs.n_columns()];
-        backend
-            .try_max_scores_into(&query, &mut row)
-            .expect("first query on the original connection");
+        let row = score(worker, &rs, 0, &query).expect("first query on the original connection");
         assert_eq!(row, expected);
 
         // The worker dropped the connection after that answer; wait for the
         // mux to notice the EOF and poison itself...
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !backend.workers[0].is_poisoned() {
+        while !worker.is_poisoned() {
             assert!(Instant::now() < deadline, "mux never noticed the EOF");
             std::thread::sleep(Duration::from_millis(5));
         }
         // ...then the next query must transparently re-dial instead of
         // failing forever on the sticky poison.
-        let mut row = vec![0.0f64; rs.n_columns()];
-        backend
-            .try_max_scores_into(&query, &mut row)
-            .expect("query after the reconnect");
+        let row = score(worker, &rs, 1, &query).expect("query after the reconnect");
         assert_eq!(row, expected);
-        assert_eq!(backend.endpoints().len(), 1, "still one worker");
     }
 
     #[test]
@@ -866,24 +581,21 @@ mod tests {
             }
         });
 
-        let backend = RemoteBackend::connect(rs.clone(), &[Endpoint::Tcp(addr)]).expect("connect");
+        let workers = connect_workers(&rs, &[Endpoint::Tcp(addr)], None).expect("connect");
+        let worker = &workers[0];
         let indexed = BackendConfig::Indexed.build(rs.clone());
         let query = PreparedSampleFeatures::prepare(&SampleFeatures::extract(
             b"the velvet assembler concurrent redial probe",
         ));
-        let mut expected = vec![0.0f64; rs.n_columns()];
-        indexed.max_scores_into(&query, &mut expected);
+        let expected = indexed.feature_vector_prepared(&query);
 
-        let mut row = vec![0.0f64; rs.n_columns()];
-        backend
-            .try_max_scores_into(&query, &mut row)
-            .expect("first query on the original connection");
+        let row = score(worker, &rs, 0, &query).expect("first query on the original connection");
         assert_eq!(row, expected);
 
         // The one-shot connection dropped after that answer; wait for the
         // mux to notice the EOF and poison itself.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !backend.workers[0].is_poisoned() {
+        while !worker.is_poisoned() {
             assert!(Instant::now() < deadline, "mux never noticed the EOF");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -897,18 +609,16 @@ mod tests {
         // happens under the worker's mux lock, so exactly one caller pays
         // for it; the rest queue behind the lock and submit on the fresh
         // connection it installed.
-        const CALLERS: usize = 8;
-        let barrier = std::sync::Barrier::new(CALLERS);
+        const CALLERS: u64 = 8;
+        let barrier = std::sync::Barrier::new(CALLERS as usize);
         let rows: Vec<Vec<f64>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..CALLERS)
-                .map(|_| {
-                    s.spawn(|| {
+                .map(|caller| {
+                    let (barrier, rs, query) = (&barrier, &rs, &query);
+                    s.spawn(move || {
                         barrier.wait();
-                        let mut row = vec![0.0f64; rs.n_columns()];
-                        backend
-                            .try_max_scores_into(&query, &mut row)
-                            .expect("query during the shared reconnect");
-                        row
+                        score(worker, rs, 1 + caller, query)
+                            .expect("query during the shared reconnect")
                     })
                 })
                 .collect();

@@ -14,7 +14,7 @@ use crate::features::PreparedSampleFeatures;
 use crate::shardnet::wire::{
     self, DeltaAck, Frame, Hello, PushAck, ScoreBatchResponse, ScoreResponse,
 };
-use crate::shardnet::{NetError, Transport, IO_TIMEOUT};
+use crate::shardnet::{serve_listener, NetError, Transport};
 use crate::similarity::ReferenceSet;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -30,11 +30,10 @@ use std::sync::{Arc, RwLock};
 /// can therefore pin a serving thread for at most this long, instead of
 /// forever. Generous on purpose: clients hold persistent connections that
 /// legitimately idle between batches. Closing one is safe because the
-/// mux-driven clients (`RemoteBackend`, the gateway's shard connections)
-/// **re-dial a closed connection on their next query** (see
-/// `RemoteWorker::submit`), so the reap costs at most the queries that
-/// were in flight — it never wedges a client — and the deadline only
-/// needs to beat "forever", not a round trip.
+/// mux-driven clients (the fleet, the gateway's shard connections)
+/// **re-dial a closed connection on their next query**, so the reap costs
+/// at most the queries that were in flight — it never wedges a client —
+/// and the deadline only needs to beat "forever", not a round trip.
 pub use crate::shardnet::deadlines::IDLE_TIMEOUT;
 
 /// Upper bound on the slice count one [`wire::PushSlice`] sequence may
@@ -717,97 +716,29 @@ fn validate_classes(
     Ok(classes)
 }
 
-/// Accept-loop over a TCP listener: one thread per connection, errors
-/// logged to stderr, reads bounded by [`IDLE_TIMEOUT`] and writes by
-/// [`IO_TIMEOUT`]. Returns when the listener itself fails (e.g. it was
-/// closed out from under the loop).
+/// Serve `worker` on a TCP listener through the shared accept loop: one
+/// thread per connection, reads bounded by [`IDLE_TIMEOUT`] and writes by
+/// [`IO_TIMEOUT`](crate::shardnet::IO_TIMEOUT). Returns when the listener
+/// itself fails.
 pub fn serve_tcp(worker: Arc<ShardWorker>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let peer = stream
-                    .peer_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| "tcp client".to_string());
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                // A client that stops reading must not pin this serving
-                // thread in write_all forever.
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let worker = Arc::clone(&worker);
-                super::spawn_detached("shardd-conn", move || {
-                    if let Err(e) = worker.serve_connection(stream, &peer) {
-                        eprintln!("fhc-shardd: connection with {peer} failed: {e}");
-                    }
-                });
-            }
-            Err(_) => return,
-        }
-    }
+    serve_listener(listener, "fhc-shardd", move |conn, peer| {
+        worker.serve_connection(conn, peer)
+    });
 }
 
-/// Accept-loop over a Unix-domain listener; see [`serve_tcp`].
-pub fn serve_unix(worker: Arc<ShardWorker>, listener: UnixListener) {
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let worker = Arc::clone(&worker);
-                super::spawn_detached("shardd-conn", move || {
-                    if let Err(e) = worker.serve_connection(stream, "unix client") {
-                        eprintln!("fhc-shardd: unix connection failed: {e}");
-                    }
-                });
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// [`serve_tcp`] for a push-capable, multi-tenant [`TenantHost`]: same
-/// per-connection threading and timeouts, with the tenant registry shared
-/// across connections.
+/// [`serve_tcp`] for a push-capable, multi-tenant [`TenantHost`], with the
+/// tenant registry shared across connections.
 pub fn serve_host_tcp(host: Arc<TenantHost>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let peer = stream
-                    .peer_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| "tcp client".to_string());
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let host = Arc::clone(&host);
-                super::spawn_detached("shardd-conn", move || {
-                    if let Err(e) = host.serve_connection(stream, &peer) {
-                        eprintln!("fhc-shardd: connection with {peer} failed: {e}");
-                    }
-                });
-            }
-            Err(_) => return,
-        }
-    }
+    serve_listener(listener, "fhc-shardd", move |conn, peer| {
+        host.serve_connection(conn, peer)
+    });
 }
 
-/// [`serve_unix`] for a push-capable [`TenantHost`]; see [`serve_host_tcp`].
+/// [`serve_host_tcp`] over a Unix-domain listener.
 pub fn serve_host_unix(host: Arc<TenantHost>, listener: UnixListener) {
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let host = Arc::clone(&host);
-                super::spawn_detached("shardd-conn", move || {
-                    if let Err(e) = host.serve_connection(stream, "unix client") {
-                        eprintln!("fhc-shardd: unix connection failed: {e}");
-                    }
-                });
-            }
-            Err(_) => return,
-        }
-    }
+    serve_listener(listener, "fhc-shardd", move |conn, peer| {
+        host.serve_connection(conn, peer)
+    });
 }
 
 #[cfg(test)]

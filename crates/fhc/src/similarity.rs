@@ -804,8 +804,7 @@ impl ReferenceSet {
     /// inverted gram index. `out` must have [`ReferenceSet::n_columns`]
     /// cells and is fully overwritten. The row primitive behind
     /// [`crate::backend::IndexedBackend`] (and, with a class filter,
-    /// [`ReferenceSet::partial_row_cells`] behind the sharded and remote
-    /// topologies).
+    /// [`ReferenceSet::partial_row_cells`] behind the shard workers).
     pub(crate) fn max_scores_into_indexed(&self, sample: &PreparedSampleFeatures, out: &mut [f64]) {
         out.fill(0.0);
         let mut scratch = Vec::new();
@@ -820,8 +819,8 @@ impl ReferenceSet {
 
     /// The partial max-score row of `query` over a sorted class subset:
     /// one `(column, score)` cell for every `(view, class)` in
-    /// `classes` — the primitive the sharded backend and the shardnet
-    /// worker max-merge from (their partial rows carry every owned cell,
+    /// `classes` — the primitive shardnet workers score and their clients
+    /// max-merge from (their partial rows carry every owned cell,
     /// zeros included, so the merge never has to guess coverage).
     pub(crate) fn partial_row_cells(
         &self,

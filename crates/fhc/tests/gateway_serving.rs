@@ -3,7 +3,7 @@
 //! Trains a small classifier, saves the artifact, spawns two real
 //! `fhc-shardd` processes plus one real `fhc-gateway` process fronting
 //! them on loopback TCP, and serves the same artifact through the gateway
-//! via `BackendConfig::Gateway` (`gateway:EP`). Predictions must be
+//! via a `gateway:EP` backend (a one-shard fleet). Predictions must be
 //! byte-identical to the in-process indexed backend — including from
 //! several client threads at once, which drives the gateway's batch
 //! coalescing; killing a shard daemon behind the gateway must surface as
@@ -126,19 +126,11 @@ fn gateway_daemon_serves_byte_identical_predictions_and_relays_worker_loss() {
     let mut guard = KillOnDrop(vec![shard0, shard1, gateway]);
 
     // Reopen the stored artifact through the gateway.
-    let gateway_config = config.backend(BackendConfig::Gateway {
-        endpoint: front.clone(),
-        tenant: None,
-    });
+    let gateway_spec: BackendConfig = format!("gateway:{front}").parse().expect("gateway spec");
+    let gateway_config = config.backend(gateway_spec.clone());
     let served = TrainedClassifier::load_with(&artifact, &gateway_config)
         .expect("artifact opens against the running gateway");
-    assert_eq!(
-        served.backend_config(),
-        BackendConfig::Gateway {
-            endpoint: front,
-            tenant: None,
-        }
-    );
+    assert_eq!(served.backend_config(), gateway_spec);
 
     // Byte-identical predictions vs the local indexed backend — first
     // serially, then from several threads at once (the coalescing path).
@@ -243,10 +235,11 @@ fn gateway_daemon_sheds_over_quota_clients_with_a_typed_overload() {
     let guard = KillOnDrop(vec![shard0, quotaed, open]);
 
     let open_config = |front: Endpoint| {
-        config.clone().backend(BackendConfig::Gateway {
-            endpoint: front,
-            tenant: None,
-        })
+        config.clone().backend(
+            format!("gateway:{front}")
+                .parse::<BackendConfig>()
+                .expect("gateway spec"),
+        )
     };
     let throttled = TrainedClassifier::load_with(&artifact, &open_config(quotaed_front))
         .expect("artifact opens against the quotaed gateway");

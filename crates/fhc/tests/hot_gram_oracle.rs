@@ -3,13 +3,13 @@
 //! (`HOTGRAM`), so that single gram's posting list contains every entry of
 //! every class. This is the worst case for the inverted gram index — the
 //! candidate set degenerates to "everyone" and any dedup, projection, or
-//! partition bug in the indexed/sharded/remote walks shows up as a row
+//! partition bug in the indexed or fleet walks shows up as a row
 //! diverging from the unindexed scan. Rows are compared as `f64` bit
 //! patterns: byte-identical, no tolerance.
 
 use fhc::backend::{BackendConfig, SimilarityBackend};
 use fhc::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
-use fhc::shardnet::{worker, Endpoint, RemoteBackend, ShardWorker};
+use fhc::shardnet::{worker, Endpoint, ShardWorker};
 use fhc::similarity::ReferenceSet;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -84,6 +84,18 @@ fn row_bits(backend: &dyn SimilarityBackend, query: &PreparedSampleFeatures) -> 
     row.into_iter().map(f64::to_bits).collect()
 }
 
+/// A `remote:` fleet over `n` in-process loopback workers, each loaded
+/// with every class of `rs`.
+fn fleet(rs: &Arc<ReferenceSet>, n: usize) -> BackendConfig {
+    BackendConfig::remote((0..n).map(|_| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
+        let addr = listener.local_addr().expect("worker addr").to_string();
+        let shard = Arc::new(ShardWorker::all_classes(rs.clone()));
+        std::thread::spawn(move || worker::serve_tcp(shard, listener));
+        Endpoint::Tcp(addr)
+    }))
+}
+
 #[test]
 fn indexed_and_sharded_match_the_scan_oracle_on_a_hot_gram_corpus() {
     let rs = hot_gram_reference();
@@ -104,10 +116,10 @@ fn indexed_and_sharded_match_the_scan_oracle_on_a_hot_gram_corpus() {
 
     for config in [
         BackendConfig::Indexed,
-        BackendConfig::Sharded { shards: 1 },
-        BackendConfig::Sharded { shards: 2 },
-        BackendConfig::Sharded { shards: 5 },
-        BackendConfig::Sharded { shards: 8 },
+        fleet(&rs, 1),
+        fleet(&rs, 2),
+        fleet(&rs, 5),
+        fleet(&rs, 8),
     ] {
         let backend = config.build(rs.clone());
         for (i, probe) in probes.iter().enumerate() {
@@ -126,19 +138,12 @@ fn remote_workers_match_the_scan_oracle_on_a_hot_gram_corpus() {
     let oracle = BackendConfig::Scan.build(rs.clone());
     let probes = probes();
 
-    // Two in-process loopback workers; each connection negotiates its own
+    // Two in-process loopback workers; the fleet assigns each its
     // round-robin partition of the classes, so the hot posting list is
     // walked per-shard and the partial rows merged client-side.
-    let endpoints: Vec<Endpoint> = (0..2)
-        .map(|_| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
-            let addr = listener.local_addr().expect("worker addr").to_string();
-            let shard = Arc::new(ShardWorker::all_classes(rs.clone()));
-            std::thread::spawn(move || worker::serve_tcp(shard, listener));
-            Endpoint::Tcp(addr)
-        })
-        .collect();
-    let remote = RemoteBackend::connect(rs.clone(), &endpoints).expect("connect workers");
+    let remote = fleet(&rs, 2)
+        .try_build(rs.clone())
+        .expect("connect workers");
 
     for (i, probe) in probes.iter().enumerate() {
         let mut row = vec![f64::NAN; remote.n_columns()];

@@ -2,8 +2,8 @@
 //!
 //! Trains a small classifier, saves the artifact, spawns two real
 //! `fhc-shardd` processes (one per shard of the round-robin partition) on
-//! loopback TCP, and serves the same artifact through them via
-//! `BackendConfig::Remote`. Predictions must be byte-identical to the
+//! loopback TCP, and serves the same artifact through them via a
+//! `remote:` backend (a fleet of replica-less shards). Predictions must be byte-identical to the
 //! in-process indexed backend; killing a daemon mid-serving must surface
 //! as a typed error, not a wrong or partial prediction. This is the test
 //! CI runs explicitly so the daemon path cannot silently rot.
@@ -84,13 +84,11 @@ fn shardd_daemons_serve_byte_identical_predictions_and_die_loudly() {
     let mut guard = KillOnDrop(vec![child0, child1]);
 
     // Reopen the stored artifact under the remote topology.
-    let remote_config = config.backend(BackendConfig::remote([endpoint0, endpoint1]));
+    let remote = BackendConfig::remote([endpoint0, endpoint1]);
+    let remote_config = config.backend(remote.clone());
     let served = TrainedClassifier::load_with(&artifact, &remote_config)
         .expect("artifact opens against running daemons");
-    assert!(matches!(
-        served.backend_config(),
-        BackendConfig::Remote { .. }
-    ));
+    assert_eq!(served.backend_config(), remote);
 
     // Byte-identical predictions vs the local indexed backend.
     let batch: Vec<(String, Vec<u8>)> = corpus

@@ -1,8 +1,8 @@
 //! fhc-lint: a repo-aware static analysis pass for the shardnet serving tier.
 //!
-//! The distributed serving code (hpcutil mux/pool/frame, fhc::shardnet, the
+//! The distributed serving code (hpcutil mux/frame, fhc::shardnet, the
 //! daemon binaries) keeps re-growing the same bug classes in review: panics
-//! inside mux/pool worker threads, accepted sockets missing a read *or* write
+//! inside mux threads, accepted sockets missing a read *or* write
 //! deadline, unbounded `mpsc::channel()` queues in daemon paths, detached
 //! threads nobody joins, and encode/decode drift in the hand-rolled wire
 //! codecs. This crate mechanizes that checklist. The environment is offline
@@ -131,7 +131,7 @@ impl RuleSet {
 }
 
 /// Path classification mirroring the review checklist's blast radius: the
-/// connection mux, the worker pool, framing, everything under shardnet, and
+/// connection mux, framing, everything under shardnet, and
 /// the daemon binaries. Test trees, examples, benches, fixtures, and vendored
 /// shims are exempt wholesale.
 pub fn rules_for_path(path: &str) -> RuleSet {
@@ -147,7 +147,6 @@ pub fn rules_for_path(path: &str) -> RuleSet {
     let daemon_core = p.contains("crates/fhc/src/shardnet/")
         || p.contains("crates/fhc/src/bin/")
         || p.ends_with("crates/hpcutil/src/mux.rs")
-        || p.ends_with("crates/hpcutil/src/pool.rs")
         || p.ends_with("crates/hpcutil/src/frame.rs");
     // Codec symmetry additionally covers all of hpcutil (home of the
     // ByteWriter/ByteReader codec layer the wire formats are built on).

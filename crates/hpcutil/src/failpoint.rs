@@ -42,9 +42,7 @@ pub const SITES: &[&str] = &[
     "frame.checksum",
     "mux.writer",
     "mux.reader",
-    "pool.job",
     "remote.handshake",
-    "remote.batch_send",
     "remote.redial",
     "fleet.hedge",
     "fleet.push_slice",
@@ -403,8 +401,8 @@ mod tests {
         fn rand_schedules_are_seed_deterministic() {
             let _guard = guard();
             let run = || {
-                configure("pool.job=truncate:9@rand:42:50").expect("configure");
-                let fired: Vec<bool> = (0..64).map(|_| hit("pool.job").is_some()).collect();
+                configure("fleet.cutover=truncate:9@rand:42:50").expect("configure");
+                let fired: Vec<bool> = (0..64).map(|_| hit("fleet.cutover").is_some()).collect();
                 clear();
                 fired
             };

@@ -17,8 +17,6 @@
 //!   persist trained models as versioned on-disk artifacts.
 //! * [`frame`] — checksummed, length-prefixed frames over byte streams,
 //!   the transport layer under the distributed shard-serving protocol.
-//! * [`pool`] — a persistent worker-thread pool for per-query fan-out where
-//!   scoped-thread spawning would dominate the work itself.
 //! * [`mux`] — a thread-based connection multiplexer: many caller threads
 //!   pipeline request/reply frames over one stream, correlated by request
 //!   id, with no mutex held across a round trip.
@@ -35,7 +33,6 @@ pub mod failpoint;
 pub mod frame;
 pub mod mux;
 pub mod par;
-pub mod pool;
 pub mod rngseq;
 pub mod table;
 pub mod timing;
@@ -43,8 +40,7 @@ pub mod timing;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use frame::{encode_frame, read_frame, write_assembled_frame, write_frame, FrameError};
 pub use mux::{Mux, MuxError, MuxErrorKind, MuxOptions, PendingReply};
-pub use par::{in_parallel_worker, par_map, par_map_indexed, ParallelConfig};
-pub use pool::WorkerPool;
+pub use par::{par_map, par_map_indexed, ParallelConfig};
 pub use rngseq::SeedSequence;
 pub use table::TextTable;
 pub use timing::SectionTimer;

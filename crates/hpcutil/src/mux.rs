@@ -1,6 +1,6 @@
 //! A thread-based connection multiplexer: many callers, one stream.
 //!
-//! [`pool`](crate::pool) parallelizes compute; this module parallelizes
+//! [`par`](crate::par) parallelizes compute; this module parallelizes
 //! *conversations*. A [`Mux`] owns one bidirectional stream (typically a
 //! socket already past its application handshake) and runs two dedicated
 //! threads over it:

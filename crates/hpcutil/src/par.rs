@@ -8,31 +8,7 @@
 //! which guarantees data-race freedom through the type system (the closure
 //! only receives `&T` items and returns owned results).
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-thread_local! {
-    /// Whether the current thread is a parallel worker (a scoped `par_map`
-    /// worker or a [`WorkerPool`](crate::pool::WorkerPool) thread).
-    static IN_PARALLEL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the current thread is already a parallel worker.
-///
-/// Nested-parallelism guard: code that fans out per item (e.g. scoring the
-/// shards of a partitioned reference set) can check this flag and degrade to
-/// a serial loop when it is *already* running inside a batch worker, instead
-/// of multiplying `batch workers x inner fan-out` threads.
-pub fn in_parallel_worker() -> bool {
-    IN_PARALLEL_WORKER.with(Cell::get)
-}
-
-/// Mark the current thread as a parallel worker (for the rest of its life).
-/// Called by `par_map` workers and pool worker threads at startup; worker
-/// threads never outlive their parallel context, so the flag is never reset.
-pub(crate) fn mark_parallel_worker() {
-    IN_PARALLEL_WORKER.with(|flag| flag.set(true));
-}
 
 /// Configuration for the parallel helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +136,6 @@ where
         for _ in 0..threads {
             let counter = &counter;
             handles.push(scope.spawn(move || {
-                mark_parallel_worker();
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     let start = counter.fetch_add(chunk, Ordering::Relaxed);
@@ -277,26 +252,6 @@ mod tests {
             chunk: 0,
         };
         assert_eq!(cfg.effective_chunk(), 1);
-    }
-
-    #[test]
-    fn parallel_workers_are_marked_and_callers_are_not() {
-        assert!(!in_parallel_worker());
-        // Force the threaded path: many items, tiny chunk, several threads.
-        let flags = par_map_indexed(
-            64,
-            ParallelConfig {
-                threads: 4,
-                chunk: 1,
-            },
-            |_| in_parallel_worker(),
-        );
-        assert!(flags.iter().all(|&f| f), "every worker must be marked");
-        // The calling thread itself stays unmarked.
-        assert!(!in_parallel_worker());
-        // The sequential fallback runs on the caller and stays unmarked too.
-        let flags = par_map_indexed(3, ParallelConfig::with_threads(1), |_| in_parallel_worker());
-        assert!(flags.iter().all(|&f| !f));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The bounded edit-distance kernel for the similarity hot path.
 //!
-//! Every backend — scan, indexed, sharded, remote — funnels millions of
+//! Every backend — scan, indexed, fleet — funnels millions of
 //! pairwise signature comparisons through the weighted Damerau–Levenshtein
 //! distance. The oracle implementation
 //! ([`weighted_edit_distance`](crate::edit_distance::weighted_edit_distance))

@@ -18,6 +18,10 @@ use corpus::{Catalog, CorpusBuilder};
 use fhc::backend::BackendConfig;
 use fhc::config::FhcConfig;
 use fhc::pipeline::FuzzyHashClassifier;
+use fhc::shardnet::worker::serve_tcp;
+use fhc::shardnet::{Endpoint, ShardWorker};
+use std::net::TcpListener;
+use std::sync::Arc;
 
 /// Build an executable that imitates an unauthorized workload: none of its
 /// symbols, strings, or code come from the known application corpus.
@@ -44,14 +48,22 @@ fn rogue_miner() -> Vec<u8> {
 fn main() {
     // Train once on a small synthetic corpus of known HPC applications.
     let corpus = CorpusBuilder::new(7).build(&Catalog::paper().scaled(0.04));
-    // Serve through the class-sharded backend: each query fans out across
-    // shard threads (score-identical to the default indexed backend).
-    let config = FhcConfig::new()
-        .seed(7)
-        .backend(BackendConfig::Sharded { shards: 0 });
-    let trained = FuzzyHashClassifier::with_config(config)
+    let trained = FuzzyHashClassifier::with_config(FhcConfig::new().seed(7))
         .fit(&corpus)
         .expect("training should succeed");
+    // Serve through a fleet of two shard workers (in process on loopback
+    // here; `fhc-shardd` daemons in production): each query fans out across
+    // both, score-identical to the default indexed backend.
+    let endpoints: Vec<Endpoint> = (0..2)
+        .map(|_| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback worker");
+            let endpoint = Endpoint::Tcp(listener.local_addr().expect("bound").to_string());
+            let worker = Arc::new(ShardWorker::all_classes(trained.reference_shared()));
+            std::thread::spawn(move || serve_tcp(worker, listener));
+            endpoint
+        })
+        .collect();
+    let trained = trained.with_backend(BackendConfig::remote(endpoints));
     println!(
         "trained on {} known classes (threshold {:.2}, backend {})",
         trained.n_known_classes(),

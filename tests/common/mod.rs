@@ -6,7 +6,34 @@
 
 #![allow(dead_code)]
 
+use fhc::backend::BackendConfig;
 use fhc::features::SampleFeatures;
+use fhc::shardnet::worker::serve_tcp;
+use fhc::shardnet::{Endpoint, ShardWorker};
+use fhc::similarity::ReferenceSet;
+use std::net::TcpListener;
+use std::sync::Arc;
+
+/// Spawn `n` loopback shard workers over `reference`, each serving every
+/// class (a fleet assigns each its round-robin partition at connect).
+/// Returns their endpoints; the accept threads live until the test process
+/// exits.
+pub fn spawn_loopback_workers(reference: &Arc<ReferenceSet>, n: usize) -> Vec<Endpoint> {
+    (0..n)
+        .map(|_| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+            let worker = Arc::new(ShardWorker::all_classes(Arc::clone(reference)));
+            std::thread::spawn(move || serve_tcp(worker, listener));
+            endpoint
+        })
+        .collect()
+}
+
+/// A `remote:` fleet of `n` shards over fresh loopback workers.
+pub fn loopback_fleet(reference: &Arc<ReferenceSet>, n: usize) -> BackendConfig {
+    BackendConfig::remote(spawn_loopback_workers(reference, n))
+}
 
 /// A sample whose three views are the same hand-built hash — the shapes
 /// generated hashes rarely produce but the comparison rules must handle.

@@ -2,16 +2,17 @@
 //!
 //! The contract of [`fhc::backend::SimilarityBackend`] is that backend
 //! choice is a pure scheduling decision: `ScanBackend`, `IndexedBackend`,
-//! and `ShardedBackend` (at any shard count) must produce **byte-identical**
-//! feature rows — and therefore byte-identical predictions — over the same
-//! reference set. These tests enforce that end to end on seeded corpora:
-//! through training, through serving, and through artifacts reopened under
-//! every backend.
+//! and a `FleetBackend` over loopback workers (at any shard count) must
+//! produce **byte-identical** feature rows — and therefore byte-identical
+//! predictions — over the same reference set. These tests enforce that end
+//! to end on seeded corpora: through training, through serving, and through
+//! artifacts reopened under every backend.
 
 mod common;
 
+use common::loopback_fleet;
 use corpus::{Catalog, CorpusBuilder};
-use fhc::backend::{BackendConfig, ShardedBackend, SimilarityBackend};
+use fhc::backend::{BackendConfig, SimilarityBackend};
 use fhc::config::FhcConfig;
 use fhc::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
 use fhc::pipeline::{FuzzyHashClassifier, PipelineConfig};
@@ -72,7 +73,7 @@ fn sharded_rows_are_byte_identical_to_scan_and_indexed() {
         .collect();
 
     for shards in shard_counts(reference.n_classes()) {
-        let sharded = ShardedBackend::new(reference.clone(), shards);
+        let sharded = loopback_fleet(&reference, shards).build(reference.clone());
         for probe in &probes {
             let scan_row = scan.feature_vector_prepared(probe);
             let indexed_row = indexed.feature_vector_prepared(probe);
@@ -84,7 +85,7 @@ fn sharded_rows_are_byte_identical_to_scan_and_indexed() {
             assert_eq!(
                 bits(&indexed_row),
                 bits(&sharded_row),
-                "indexed vs sharded({shards})"
+                "indexed vs a fleet of {shards}"
             );
         }
     }
@@ -105,7 +106,7 @@ fn predictions_are_identical_under_every_backend_and_shard_count() {
     backends.extend(
         shard_counts(trained.n_known_classes())
             .into_iter()
-            .map(|shards| BackendConfig::Sharded { shards }),
+            .map(|shards| loopback_fleet(&trained.reference_shared(), shards)),
     );
     for backend in backends {
         let swapped = trained.clone().with_backend(backend.clone());
@@ -132,8 +133,7 @@ fn artifacts_reopen_identically_under_every_backend() {
     for backend in [
         BackendConfig::Scan,
         BackendConfig::Indexed,
-        BackendConfig::Sharded { shards: 2 },
-        BackendConfig::Sharded { shards: 0 },
+        loopback_fleet(&original.reference_shared(), 2),
     ] {
         let reopened =
             TrainedClassifier::from_bytes_with(&bytes, &config(19).backend(backend.clone()))
@@ -149,7 +149,9 @@ fn artifacts_reopen_identically_under_every_backend() {
 fn training_under_any_backend_yields_identical_artifacts() {
     // The fit path routes every feature matrix (training, threshold tuning)
     // through the configured backend — so fitting under different backends
-    // must produce byte-identical models.
+    // must produce byte-identical models. (A fleet cannot train: its
+    // workers serve a finished artifact, not the intermediate reference
+    // sets threshold tuning builds.)
     let corpus = CorpusBuilder::new(29).build(&Catalog::paper().scaled(0.02));
     let fit = |backend: BackendConfig| {
         FuzzyHashClassifier::with_config(config(29).backend(backend))
@@ -158,7 +160,6 @@ fn training_under_any_backend_yields_identical_artifacts() {
             .to_bytes()
     };
     let indexed = fit(BackendConfig::Indexed);
-    assert_eq!(fit(BackendConfig::Sharded { shards: 3 }), indexed);
     assert_eq!(fit(BackendConfig::Scan), indexed);
 }
 
@@ -179,8 +180,10 @@ fn empty_class_is_equivalent_across_backends() {
         .build(reference.clone())
         .feature_vector_prepared(&probe);
     for shards in [1, 2, 5] {
-        let row = ShardedBackend::new(reference.clone(), shards).feature_vector_prepared(&probe);
-        assert_eq!(row, scan_row, "sharded({shards})");
+        let row = loopback_fleet(&reference, shards)
+            .build(reference.clone())
+            .feature_vector_prepared(&probe);
+        assert_eq!(row, scan_row, "a fleet of {shards}");
     }
     assert_eq!(
         BackendConfig::Indexed
@@ -211,7 +214,9 @@ fn single_class_reference_is_equivalent_across_backends() {
         .feature_vector_prepared(&probe);
     for shards in shard_counts(1) {
         assert_eq!(
-            ShardedBackend::new(reference.clone(), shards).feature_vector_prepared(&probe),
+            loopback_fleet(&reference, shards)
+                .build(reference.clone())
+                .feature_vector_prepared(&probe),
             expected
         );
     }
@@ -241,6 +246,13 @@ fn degenerate_hashes_are_equivalent_across_backends_with_pruning() {
     ));
     let scan = BackendConfig::Scan.build(reference.clone());
     let indexed = BackendConfig::Indexed.build(reference.clone());
+    let fleets: Vec<(usize, _)> = shard_counts(reference.n_classes())
+        .into_iter()
+        .map(|shards| {
+            let fleet = loopback_fleet(&reference, shards).build(reference.clone());
+            (shards, fleet)
+        })
+        .collect();
     for (i, probe) in common::degenerate_probes().iter().enumerate() {
         let probe = PreparedSampleFeatures::prepare(probe);
         let expected = scan.feature_vector_prepared(&probe);
@@ -250,12 +262,11 @@ fn degenerate_hashes_are_equivalent_across_backends_with_pruning() {
             bits(&expected),
             "probe {i}: indexed vs scan"
         );
-        for shards in shard_counts(reference.n_classes()) {
-            let sharded = ShardedBackend::new(reference.clone(), shards);
+        for (shards, fleet) in &fleets {
             assert_eq!(
-                bits(&sharded.feature_vector_prepared(&probe)),
+                bits(&fleet.feature_vector_prepared(&probe)),
                 bits(&expected),
-                "probe {i}: sharded({shards}) vs scan"
+                "probe {i}: a fleet of {shards} vs scan"
             );
         }
     }

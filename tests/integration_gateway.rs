@@ -13,12 +13,24 @@ use fhc::config::FhcConfig;
 use fhc::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
 use fhc::pipeline::{FuzzyHashClassifier, PipelineConfig};
 use fhc::serving::TrainedClassifier;
-use fhc::shardnet::{gateway, worker, Endpoint, Gateway, GatewayBackend, GatewayOptions};
+use fhc::shardnet::{
+    gateway, worker, Endpoint, FleetShard, FleetTopology, Gateway, GatewayOptions,
+};
 use fhc::shardnet::{NetError, ShardWorker};
 use fhc::similarity::ReferenceSet;
 use fhc::FhcError;
 use std::net::TcpListener;
 use std::sync::Arc;
+
+/// The `gateway:EP` backend: a one-shard fleet pointed at `front`.
+fn dial(reference: &Arc<ReferenceSet>, front: &Endpoint) -> fhc::backend::AnyBackend {
+    BackendConfig::Fleet {
+        topology: FleetTopology::new(vec![FleetShard::solo(front.clone())]),
+        tenant: None,
+    }
+    .try_build(Arc::clone(reference))
+    .expect("dial gateway")
+}
 
 /// Spawn `n` loopback shard workers, each serving every class (the gateway
 /// assigns the round-robin partition at connect). With `Some(limit)` the
@@ -155,7 +167,7 @@ fn gateway_rows_are_byte_identical_for_1_2_4_concurrent_clients() {
                 let expected = Arc::clone(&expected);
                 let front = front.clone();
                 std::thread::spawn(move || {
-                    let backend = GatewayBackend::connect(reference, &front).expect("dial gateway");
+                    let backend = dial(&reference, &front);
                     // Several passes so the clients genuinely overlap.
                     for pass in 0..3 {
                         for (i, probe) in probes.iter().enumerate() {
@@ -225,19 +237,11 @@ fn stored_artifact_opens_unchanged_behind_a_gateway() {
     let reference = original.reference_shared();
     let workers = spawn_workers(&reference, 3, None);
     let front = spawn_gateway(&reference, &workers);
-    let config = FhcConfig::new().backend(BackendConfig::Gateway {
-        endpoint: front.clone(),
-        tenant: None,
-    });
+    let gateway: BackendConfig = format!("gateway:{front}").parse().expect("gateway spec");
+    let config = FhcConfig::new().backend(gateway.clone());
     let reopened = TrainedClassifier::load_with(&path, &config).expect("load behind gateway");
     std::fs::remove_file(&path).ok();
-    assert_eq!(
-        reopened.backend_config(),
-        BackendConfig::Gateway {
-            endpoint: front,
-            tenant: None,
-        }
-    );
+    assert_eq!(reopened.backend_config(), gateway);
 
     // Identical artifact bytes (the backend is runtime-only) and identical
     // predictions through two network hops.
@@ -264,7 +268,7 @@ fn a_killed_worker_behind_the_gateway_is_a_typed_error() {
     workers.extend(spawn_workers(&reference, 1, Some(2)));
     let front = spawn_gateway(&reference, &workers);
 
-    let backend = GatewayBackend::connect(reference.clone(), &front).expect("dial gateway");
+    let backend = dial(&reference, &front);
     let probe = &probes()[0];
     let expected = BackendConfig::Scan
         .build(reference.clone())
@@ -299,25 +303,19 @@ fn a_killed_worker_behind_the_gateway_is_a_typed_error() {
     }
 }
 
-/// `gateway:EP` parses, displays, and round-trips as a backend config.
+/// `gateway:EP` parses to a one-shard fleet, displays in the canonical
+/// fleet form, and round-trips.
 #[test]
 fn gateway_backend_config_parses_and_displays() {
+    let one_shard = |endpoint: Endpoint| BackendConfig::Fleet {
+        topology: FleetTopology::new(vec![FleetShard::solo(endpoint)]),
+        tenant: None,
+    };
     let config: BackendConfig = "gateway:127.0.0.1:7000".parse().expect("parses");
-    assert_eq!(
-        config,
-        BackendConfig::Gateway {
-            endpoint: Endpoint::Tcp("127.0.0.1:7000".into()),
-            tenant: None,
-        }
-    );
-    assert_eq!(config.to_string(), "gateway(tcp:127.0.0.1:7000)");
+    assert_eq!(config, one_shard(Endpoint::Tcp("127.0.0.1:7000".into())));
+    assert_eq!(config.to_string(), "fleet:tcp:127.0.0.1:7000");
+    assert_eq!(config.to_string().parse::<BackendConfig>(), Ok(config));
     let uds: BackendConfig = "gateway:unix:/run/fhc/gw.sock".parse().expect("parses");
-    assert_eq!(
-        uds,
-        BackendConfig::Gateway {
-            endpoint: Endpoint::Unix("/run/fhc/gw.sock".into()),
-            tenant: None,
-        }
-    );
+    assert_eq!(uds, one_shard(Endpoint::Unix("/run/fhc/gw.sock".into())));
     assert!("gateway:".parse::<BackendConfig>().is_err());
 }

@@ -184,22 +184,3 @@ fn invalid_configurations_are_rejected() {
         .run_with_features(&corpus, &features[..3])
         .is_err());
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_pipeline_config_constructor_still_works() {
-    // `FuzzyHashClassifier::new(PipelineConfig)` is kept as a thin shim for
-    // one release: it must behave exactly like the unified-config path with
-    // default runtime layers.
-    let corpus = small_corpus(3);
-    let via_shim = FuzzyHashClassifier::new(PipelineConfig {
-        seed: 9,
-        ..Default::default()
-    });
-    let via_config = FuzzyHashClassifier::with_config(FhcConfig::new().seed(9));
-    let features = via_config.extract_features(&corpus);
-    let a = via_shim.run_with_features(&corpus, &features).unwrap();
-    let b = via_config.run_with_features(&corpus, &features).unwrap();
-    assert_eq!(a.y_pred, b.y_pred);
-    assert_eq!(a.confidence_threshold, b.confidence_threshold);
-}

@@ -1,41 +1,48 @@
 //! Integration equivalence suite for the distributed shard-serving path.
 //!
-//! `RemoteBackend` must be just another [`fhc::SimilarityBackend`]: over
-//! loopback workers (in-process `ShardWorker` accept loops on
-//! `127.0.0.1`) its feature rows and predictions are **byte-identical** to
-//! `ScanBackend`/`IndexedBackend` for worker counts 1/2/3/`n_classes`,
-//! including empty-class and single-class references and empty worker
-//! partitions. Failure is typed: a worker that dies mid-batch produces
-//! [`fhc::FhcError::Net`] — never a wrong or partial row.
+//! A `remote:` backend — a [`FleetBackend`] of replica-less shards — must
+//! be just another [`fhc::SimilarityBackend`]: over loopback workers
+//! (in-process `ShardWorker` accept loops on `127.0.0.1`) its feature rows
+//! and predictions are **byte-identical** to `ScanBackend`/`IndexedBackend`
+//! for worker counts 1/2/3/`n_classes`, including empty-class and
+//! single-class references and empty worker partitions. Failure is typed: a
+//! worker that dies mid-batch produces [`fhc::FhcError::Net`] — never a
+//! wrong or partial row — and a worker without batch scoring is refused
+//! at connect.
 
 mod common;
 
+use common::spawn_loopback_workers;
+use fhc::backend::round_robin_partition;
 use fhc::backend::{BackendConfig, SimilarityBackend};
 use fhc::config::FhcConfig;
 use fhc::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
 use fhc::pipeline::{FuzzyHashClassifier, PipelineConfig};
 use fhc::serving::TrainedClassifier;
 use fhc::shardnet::wire::{self, Frame};
-use fhc::shardnet::worker::serve_tcp;
-use fhc::shardnet::{Endpoint, NetError, RemoteBackend, ShardWorker};
+use fhc::shardnet::{
+    Endpoint, FleetBackend, FleetShard, FleetTopology, Gateway, GatewayOptions, NetError,
+    ShardWorker,
+};
 use fhc::similarity::ReferenceSet;
 use fhc::FhcError;
 use std::net::TcpListener;
 use std::sync::Arc;
 
-/// Spawn `n` loopback shard workers over `reference`, each serving every
-/// class (the client auto-assigns a round-robin partition at connect).
-/// Returns their endpoints; the accept threads live until the test process
-/// exits.
-fn spawn_loopback_workers(reference: &Arc<ReferenceSet>, n: usize) -> Vec<Endpoint> {
-    (0..n)
-        .map(|_| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
-            let worker = Arc::new(ShardWorker::all_classes(Arc::clone(reference)));
-            std::thread::spawn(move || serve_tcp(worker, listener));
-            endpoint
-        })
+/// Connect the `remote:` fleet over `endpoints`: one replica-less shard
+/// per endpoint, in order.
+fn remote(reference: &Arc<ReferenceSet>, endpoints: &[Endpoint]) -> Result<FleetBackend, NetError> {
+    let shards = endpoints.iter().cloned().map(FleetShard::solo).collect();
+    FleetBackend::connect(Arc::clone(reference), FleetTopology::new(shards))
+}
+
+/// The class partition each shard of `fleet` serves, in shard order.
+fn member_classes(fleet: &FleetBackend) -> Vec<Vec<usize>> {
+    fleet
+        .view()
+        .members()
+        .iter()
+        .map(|m| m.classes().to_vec())
         .collect()
 }
 
@@ -83,10 +90,9 @@ fn spawn_partitioned_workers(
         .collect()
 }
 
-/// A hand-rolled protocol-v2 worker that did **not** advertise
-/// `FEATURE_SCORE_BATCH`: it serves single-query frames through the real
-/// indexed backend and answers any batch frame with an `Error` frame — so
-/// a client that wrongly sends one fails loudly instead of silently.
+/// A hand-rolled protocol-v2 worker that does **not** advertise
+/// `FEATURE_SCORE_BATCH`: it greets with an otherwise valid handshake and
+/// answers any further frame with an `Error` frame.
 fn spawn_batchless_worker(reference: &Arc<ReferenceSet>) -> Endpoint {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
     let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
@@ -94,52 +100,22 @@ fn spawn_batchless_worker(reference: &Arc<ReferenceSet>) -> Endpoint {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
-            let reference = Arc::clone(&reference);
-            std::thread::spawn(move || {
-                let backend = BackendConfig::Indexed.build(Arc::clone(&reference));
-                let peer = "batchless";
-                let hello = wire::Hello {
-                    protocol: wire::PROTOCOL_VERSION,
-                    features: 0, // a v2 worker that opted out of batching
-                    fingerprint: reference.fingerprint(),
-                    n_classes: reference.n_classes(),
-                    n_columns: reference.n_columns(),
-                    classes: (0..reference.n_classes()).collect(),
-                    tenant: wire::DEFAULT_TENANT.to_string(),
-                };
-                if Frame::Hello(hello).write_to(&mut stream, peer).is_err() {
-                    return;
+            let peer = "batchless";
+            let hello = wire::Hello {
+                protocol: wire::PROTOCOL_VERSION,
+                features: 0, // a v2 worker that opted out of batching
+                fingerprint: reference.fingerprint(),
+                n_classes: reference.n_classes(),
+                n_columns: reference.n_columns(),
+                classes: (0..reference.n_classes()).collect(),
+                tenant: wire::DEFAULT_TENANT.to_string(),
+            };
+            if Frame::Hello(hello).write_to(&mut stream, peer).is_ok() {
+                if let Ok(other) = Frame::read_from(&mut stream, peer) {
+                    let _ = Frame::Error(format!("batchless worker cannot serve {other:?}"))
+                        .write_to(&mut stream, peer);
                 }
-                loop {
-                    match Frame::read_from(&mut stream, peer) {
-                        Ok(Frame::ScoreRequest(request)) => {
-                            let row = backend.feature_vector_prepared(&request.query);
-                            let cells = row
-                                .iter()
-                                .enumerate()
-                                .map(|(column, &score)| (column as u32, score))
-                                .collect();
-                            let response = wire::ScoreResponse {
-                                id: request.id,
-                                cells,
-                            };
-                            if Frame::ScoreResponse(response)
-                                .write_to(&mut stream, peer)
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Ok(other) => {
-                            let _ =
-                                Frame::Error(format!("batchless worker cannot serve {other:?}"))
-                                    .write_to(&mut stream, peer);
-                            return;
-                        }
-                        Err(_) => return,
-                    }
-                }
-            });
+            }
         }
     });
     endpoint
@@ -215,15 +191,12 @@ fn remote_rows_are_byte_identical_for_worker_counts_1_2_3_n() {
 
     for n_workers in [1, 2, 3, n_classes] {
         let endpoints = spawn_loopback_workers(&reference, n_workers);
-        let remote =
-            RemoteBackend::connect(reference.clone(), &endpoints).expect("loopback connect");
-        assert_eq!(remote.n_workers(), n_workers);
-        // The auto-assigned partition is the ShardedBackend round-robin.
-        let mut covered: Vec<usize> = (0..n_workers)
-            .flat_map(|w| remote.worker_classes(w).to_vec())
-            .collect();
-        covered.sort_unstable();
-        assert_eq!(covered, (0..n_classes).collect::<Vec<_>>());
+        let remote = remote(&reference, &endpoints).expect("loopback connect");
+        // The assigned partition is the round-robin deal, in endpoint order.
+        assert_eq!(
+            member_classes(&remote),
+            round_robin_partition(n_classes, n_workers)
+        );
 
         for (i, probe) in probes.iter().enumerate() {
             let expected = scan.feature_vector_prepared(probe);
@@ -251,11 +224,9 @@ fn remote_rows_are_byte_identical_for_worker_counts_1_2_3_n() {
 /// The batched row path (`try_feature_rows_prepared`: one
 /// `ScoreBatchRequest` frame per worker per chunk of 64) is byte-identical
 /// to the per-query fan-out and to the scan oracle — including across the
-/// 64-query chunk boundary, and including through a worker that never
-/// advertised `FEATURE_SCORE_BATCH`, which must transparently be fed
-/// pipelined single-query frames instead.
+/// 64-query chunk boundary.
 #[test]
-fn batched_rows_are_byte_identical_including_the_batchless_fallback() {
+fn batched_rows_are_byte_identical_across_the_chunk_boundary() {
     let reference = hand_built_reference(4);
     let probes = probes();
     let scan = BackendConfig::Scan.build(reference.clone());
@@ -264,8 +235,8 @@ fn batched_rows_are_byte_identical_including_the_batchless_fallback() {
         .map(|probe| bits(&scan.feature_vector_prepared(probe)))
         .collect();
 
-    let backend = RemoteBackend::connect(reference.clone(), &spawn_loopback_workers(&reference, 2))
-        .expect("workers connect");
+    let backend =
+        remote(&reference, &spawn_loopback_workers(&reference, 2)).expect("workers connect");
     let rows = backend
         .try_feature_rows_prepared(&probes)
         .expect("batched rows");
@@ -295,30 +266,38 @@ fn batched_rows_are_byte_identical_including_the_batchless_fallback() {
             "chunked row {i} diverged"
         );
     }
+}
 
-    // The batch-less worker would answer an Error frame to any batch
-    // request, so identical rows prove the client degraded to single
-    // frames.
-    let batchless =
-        RemoteBackend::connect(reference.clone(), &[spawn_batchless_worker(&reference)])
-            .expect("batchless worker connects");
-    let rows = batchless
-        .try_feature_rows_prepared(&probes)
-        .expect("fallback rows");
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(bits(row), expected[i], "fallback row {i} diverged");
+/// Batch scoring is required: a worker that does not advertise it is
+/// refused at connect with a typed handshake error, by the `remote:`
+/// client and by the gateway's shard side alike.
+#[test]
+fn a_batchless_worker_is_refused_with_a_typed_handshake_error() {
+    let reference = hand_built_reference(4);
+    let batchless = [spawn_batchless_worker(&reference)];
+    match remote(&reference, &batchless) {
+        Err(NetError::Handshake { detail, .. }) => {
+            assert!(detail.contains("batch"), "got: {detail}");
+        }
+        other => panic!("expected a batch-scoring handshake refusal, got {other:?}"),
+    }
+    match Gateway::connect(reference.clone(), &batchless, GatewayOptions::default()) {
+        Err(NetError::Handshake { detail, .. }) => {
+            assert!(detail.contains("batch"), "got: {detail}");
+        }
+        other => panic!("expected a batch-scoring handshake refusal, got {other:?}"),
     }
 }
 
 #[test]
-fn worker_side_partitions_are_honored_and_equivalent() {
+fn worker_side_partitions_are_re_dealt_and_equivalent() {
     let reference = hand_built_reference(4);
     // An uneven, worker-chosen partition — including one empty partition.
+    // The fleet deals its own round-robin partition over the wire instead.
     let partitions = vec![vec![2usize, 0], vec![], vec![1, 3]];
     let endpoints = spawn_partitioned_workers(&reference, &partitions, None);
-    let remote = RemoteBackend::connect(reference.clone(), &endpoints).expect("connect");
-    assert_eq!(remote.worker_classes(0), &[0, 2]); // sorted by the worker
-    assert_eq!(remote.worker_classes(1), &[] as &[usize]);
+    let remote = remote(&reference, &endpoints).expect("connect");
+    assert_eq!(member_classes(&remote), round_robin_partition(4, 3));
     let indexed = BackendConfig::Indexed.build(reference);
     for probe in &probes() {
         assert_eq!(
@@ -345,7 +324,7 @@ fn empty_class_and_single_class_references_are_equivalent() {
         .feature_vector_prepared(&probe);
     for n_workers in [1, 2] {
         let endpoints = spawn_loopback_workers(&reference, n_workers);
-        let remote = RemoteBackend::connect(reference.clone(), &endpoints).expect("connect");
+        let remote = remote(&reference, &endpoints).expect("connect");
         assert_eq!(
             bits(&remote.try_feature_vector_prepared(&probe).unwrap()),
             bits(&expected),
@@ -367,7 +346,7 @@ fn empty_class_and_single_class_references_are_equivalent() {
         .feature_vector_prepared(&probe);
     assert_eq!(expected[0], 100.0);
     let endpoints = spawn_loopback_workers(&reference, 2);
-    let remote = RemoteBackend::connect(reference.clone(), &endpoints).expect("connect");
+    let remote = remote(&reference, &endpoints).expect("connect");
     assert_eq!(
         bits(&remote.try_feature_vector_prepared(&probe).unwrap()),
         bits(&expected)
@@ -406,13 +385,11 @@ fn stored_artifact_opens_unchanged_under_a_remote_topology() {
     let path = std::env::temp_dir().join(format!("fhc-remote-it-{}.fhc", std::process::id()));
     original.save(&path).expect("save artifact");
     let endpoints = spawn_loopback_workers(&original.reference_shared(), 3);
-    let config = FhcConfig::new().backend(BackendConfig::remote(endpoints));
+    let remote = BackendConfig::remote(endpoints);
+    let config = FhcConfig::new().backend(remote.clone());
     let reopened = TrainedClassifier::load_with(&path, &config).expect("load under remote");
     std::fs::remove_file(&path).ok();
-    assert!(matches!(
-        reopened.backend_config(),
-        BackendConfig::Remote { .. }
-    ));
+    assert_eq!(reopened.backend_config(), remote);
 
     // Identical artifact bytes (the backend is runtime-only) and identical
     // predictions through the wire — fallible and infallible paths alike.
@@ -435,7 +412,7 @@ fn a_killed_worker_yields_a_typed_error_not_a_wrong_row() {
     let dying = spawn_partitioned_workers(&reference, &[vec![1usize]], Some(1));
     let endpoints = vec![endpoints[0].clone(), dying[0].clone()];
 
-    let remote = RemoteBackend::connect(reference.clone(), &endpoints).expect("connect");
+    let remote = remote(&reference, &endpoints).expect("connect");
     let probe = &probes()[0];
     // First query: everything healthy, row matches the oracle.
     let expected = BackendConfig::Scan
@@ -461,7 +438,7 @@ fn handshake_rejects_a_mismatched_reference_set() {
     let serving_side = hand_built_reference(3);
     let worker_side = hand_built_reference(4); // different artifact
     let endpoints = spawn_loopback_workers(&worker_side, 1);
-    match RemoteBackend::connect(serving_side, &endpoints) {
+    match remote(&serving_side, &endpoints) {
         Err(NetError::Handshake { detail, .. }) => {
             assert!(detail.contains("fingerprint"), "got: {detail}");
         }
@@ -472,13 +449,31 @@ fn handshake_rejects_a_mismatched_reference_set() {
 #[test]
 fn mixed_partitions_that_do_not_cover_are_rejected() {
     let reference = hand_built_reference(4);
-    // Two workers both claiming class 0 (and nobody serving 2, 3).
+    // Two workers both claiming class 0 (and nobody serving 2, 3): the
+    // gateway's shard side keeps advertised partitions, so it refuses them.
     let endpoints = spawn_partitioned_workers(&reference, &[vec![0, 1], vec![0]], None);
-    match RemoteBackend::connect(reference, &endpoints) {
+    match Gateway::connect(reference, &endpoints, GatewayOptions::default()) {
         Err(NetError::Partition(detail)) => {
             assert!(detail.contains("exactly once"), "got: {detail}");
         }
         other => panic!("expected a partition error, got {other:?}"),
+    }
+}
+
+#[test]
+fn mixed_partitions_that_do_not_cover_are_re_dealt_by_a_fleet() {
+    let reference = hand_built_reference(4);
+    // The same overlapping partitions: a fleet deals its own round-robin
+    // partition instead, and the rows match the scan oracle.
+    let endpoints = spawn_partitioned_workers(&reference, &[vec![0, 1], vec![0]], None);
+    let remote = remote(&reference, &endpoints).expect("connect re-deals");
+    assert_eq!(member_classes(&remote), round_robin_partition(4, 2));
+    let scan = BackendConfig::Scan.build(reference);
+    for probe in &probes() {
+        assert_eq!(
+            bits(&remote.try_feature_vector_prepared(probe).unwrap()),
+            bits(&scan.feature_vector_prepared(probe))
+        );
     }
 }
 
@@ -531,7 +526,7 @@ fn degenerate_hashes_are_equivalent_over_the_wire() {
         &FeatureKind::ALL,
     ));
     let endpoints = spawn_loopback_workers(&reference, 2);
-    let remote = RemoteBackend::connect(reference.clone(), &endpoints).expect("connect");
+    let remote = remote(&reference, &endpoints).expect("connect");
     let indexed = BackendConfig::Indexed.build(reference.clone());
     for (i, probe) in common::degenerate_probes().iter().enumerate() {
         let probe = PreparedSampleFeatures::prepare(probe);
