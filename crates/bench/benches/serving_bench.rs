@@ -319,16 +319,14 @@ fn bench_classify_batch(c: &mut Criterion) {
     });
     for workers in [1usize, 2, 4] {
         let remote_config = loopback_remote(&trained, workers);
-        if workers <= 2 {
-            let remote = remote_config.build(trained.reference_shared());
-            group.bench_function(format!("score_one_prehashed_loopback_{workers}"), |b| {
-                b.iter(|| {
-                    remote
-                        .try_max_scores_into(black_box(&prehashed), &mut row)
-                        .expect("workers alive")
-                })
-            });
-        }
+        let remote = remote_config.build(trained.reference_shared());
+        group.bench_function(format!("score_one_prehashed_loopback_{workers}"), |b| {
+            b.iter(|| {
+                remote
+                    .try_max_scores_into(black_box(&prehashed), &mut row)
+                    .expect("workers alive")
+            })
+        });
         let remote = trained.clone().with_backend(remote_config);
         group.bench_function(format!("classify_one_remote_loopback_{workers}"), |b| {
             b.iter(|| remote.classify(black_box(&batch[0].1)))

@@ -46,7 +46,7 @@
 
 use crate::error::FhcError;
 use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
-use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology};
+use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology, StaleWorkers};
 use crate::similarity::ReferenceSet;
 use hpcutil::{par_map_indexed, ParallelConfig};
 use std::sync::Arc;
@@ -253,7 +253,8 @@ pub enum BackendConfig {
     /// Shard workers behind a transport ([`FleetBackend`]): a
     /// self-healing fleet with replicas, hedged requests, and reference
     /// push. The `remote:` and `gateway:` specs are spellings of a fleet of
-    /// replica-less shards.
+    /// replica-less shards that refuses, rather than re-seeds, a worker
+    /// holding another artifact ([`StaleWorkers::Refuse`]).
     Fleet {
         /// The declared topology: shards and their replicas.
         topology: FleetTopology,
@@ -268,7 +269,7 @@ impl BackendConfig {
     /// tenant) — what the `remote:EP[,EP...]` spec parses to.
     pub fn remote(endpoints: impl IntoIterator<Item = Endpoint>) -> Self {
         BackendConfig::Fleet {
-            topology: FleetTopology::new(endpoints.into_iter().map(FleetShard::solo).collect()),
+            topology: replica_less(endpoints),
             tenant: None,
         }
     }
@@ -337,12 +338,12 @@ impl std::str::FromStr for BackendConfig {
         }
         if let Some(list) = s.strip_prefix("remote:") {
             let (rest, tenant) = split_tenant(list)?;
-            let shards = rest
+            let endpoints = rest
                 .split(',')
-                .map(|e| e.trim().parse::<Endpoint>().map(FleetShard::solo))
+                .map(|e| e.trim().parse::<Endpoint>())
                 .collect::<Result<Vec<_>, _>>()?;
             return Ok(BackendConfig::Fleet {
-                topology: FleetTopology::new(shards),
+                topology: replica_less(endpoints),
                 tenant,
             });
         }
@@ -350,7 +351,7 @@ impl std::str::FromStr for BackendConfig {
             let (rest, tenant) = split_tenant(spec)?;
             let endpoint = rest.trim().parse::<Endpoint>()?;
             return Ok(BackendConfig::Fleet {
-                topology: FleetTopology::new(vec![FleetShard::solo(endpoint)]),
+                topology: replica_less([endpoint]),
                 tenant,
             });
         }
@@ -365,6 +366,16 @@ impl std::str::FromStr for BackendConfig {
              fleet:EP[;replica=EP[,EP...]][;EP...], \
              each optionally with ;tenant=NAME"
         ))
+    }
+}
+
+/// The topology a `remote:` or `gateway:` spec parses to: one solo shard
+/// per endpoint, in order, refusing a worker that holds another artifact
+/// as the dedicated clients these specs once named did.
+fn replica_less(endpoints: impl IntoIterator<Item = Endpoint>) -> FleetTopology {
+    FleetTopology {
+        stale: StaleWorkers::Refuse,
+        ..FleetTopology::new(endpoints.into_iter().map(FleetShard::solo).collect())
     }
 }
 
@@ -709,7 +720,7 @@ mod tests {
                 Endpoint::Unix("/tmp/fhc.sock".into()),
             ])
             .to_string(),
-            "fleet:tcp:127.0.0.1:9000;unix:/tmp/fhc.sock"
+            "fleet:tcp:127.0.0.1:9000;unix:/tmp/fhc.sock;stale=refuse"
         );
         assert_eq!(
             BackendConfig::Fleet {
@@ -724,7 +735,7 @@ mod tests {
                 .parse::<BackendConfig>()
                 .unwrap()
                 .to_string(),
-            "fleet:tcp:127.0.0.1:7000;tenant=acme"
+            "fleet:tcp:127.0.0.1:7000;stale=refuse;tenant=acme"
         );
         assert_eq!(BackendConfig::default(), BackendConfig::Indexed);
     }
@@ -739,16 +750,20 @@ mod tests {
             "indexed".parse::<BackendConfig>().unwrap(),
             BackendConfig::Indexed
         );
-        // `remote:` is a fleet of replica-less shards in the listed order.
+        // `remote:` is a fleet of replica-less shards in the listed order
+        // that refuses a worker holding another artifact.
         assert_eq!(
             "remote:127.0.0.1:9000,unix:/tmp/w.sock"
                 .parse::<BackendConfig>()
                 .unwrap(),
             BackendConfig::Fleet {
-                topology: FleetTopology::new(vec![
-                    FleetShard::solo(Endpoint::Tcp("127.0.0.1:9000".into())),
-                    FleetShard::solo(Endpoint::Unix("/tmp/w.sock".into())),
-                ]),
+                topology: FleetTopology {
+                    stale: StaleWorkers::Refuse,
+                    ..FleetTopology::new(vec![
+                        FleetShard::solo(Endpoint::Tcp("127.0.0.1:9000".into())),
+                        FleetShard::solo(Endpoint::Unix("/tmp/w.sock".into())),
+                    ])
+                },
                 tenant: None,
             }
         );
@@ -781,6 +796,7 @@ mod tests {
                 topology: "h:1;replica=h:2;h:3;hedge_ms=5,1,40".parse().unwrap(),
                 tenant: None,
             },
+            "gateway:h:7;tenant=acme".parse().unwrap(),
         ] {
             assert_eq!(config.to_string().parse::<BackendConfig>().unwrap(), config);
         }
@@ -814,7 +830,7 @@ mod tests {
         assert_eq!(
             remote,
             BackendConfig::Fleet {
-                topology: "127.0.0.1:9000".parse().unwrap(),
+                topology: "127.0.0.1:9000;stale=refuse".parse().unwrap(),
                 tenant: Some("acme".into()),
             }
         );

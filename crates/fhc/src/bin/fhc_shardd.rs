@@ -27,7 +27,9 @@
 //! with per-class reference slices (`PushSlice` frames). It then holds only
 //! its partition's samples in memory — the deployment mode for workers with
 //! no shared filesystem. Artifact-loaded daemons accept pushes too, which
-//! is how a fleet rolls a worker forward to a new artifact in place.
+//! is how a `fleet:` client rolls a worker forward to a new artifact in
+//! place; `remote:` and `gateway:` clients refuse a daemon holding another
+//! artifact instead.
 //!
 //! **Multi-tenant serving**: `--tenant NAME=PATH` registers an extra
 //! artifact under the tenant id `NAME`, and `--tenant NAME` (no path)

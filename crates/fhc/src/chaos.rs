@@ -24,7 +24,7 @@ use crate::error::FhcError;
 use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
 use crate::shardnet::gateway::{self, Gateway, GatewayOptions};
 use crate::shardnet::worker::{self, ShardWorker, TenantHost};
-use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology, NetError};
+use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology, NetError, StaleWorkers};
 use crate::similarity::ReferenceSet;
 use hpcutil::failpoint;
 use hpcutil::SeedSequence;
@@ -229,13 +229,10 @@ impl Harness {
         )?;
         let front = spawn_gateway(gateway);
         // The `gateway:EP` shape: one shard owning every class.
-        let gateway = FleetBackend::connect(
-            Arc::clone(&reference),
-            FleetTopology::new(vec![FleetShard::solo(front)]),
-        )?;
+        let gateway = FleetBackend::connect(Arc::clone(&reference), solo_refusing(front))?;
         let tenant = FleetBackend::connect_tenant(
             Arc::clone(&reference),
-            FleetTopology::new(vec![FleetShard::solo(tenant_endpoint.clone())]),
+            solo_refusing(tenant_endpoint.clone()),
             Some("acme"),
         )?;
         let stacks: Vec<(&'static str, Box<dyn SimilarityBackend>)> = vec![
@@ -366,10 +363,22 @@ fn fleet_topology(endpoints: &[Endpoint]) -> FleetTopology {
     spec.parse().expect("the chaos fleet spec parses")
 }
 
-/// The `remote:` shape: one replica-less shard per worker, in order.
+/// The `remote:` shape: one replica-less shard per worker, in order,
+/// refusing workers that hold another artifact.
 fn remote_topology(endpoints: &[Endpoint]) -> FleetTopology {
-    let spec = format!("{};{};{CHAOS_TUNING}", endpoints[0], endpoints[1]);
+    let spec = format!(
+        "{};{};{CHAOS_TUNING};stale=refuse",
+        endpoints[0], endpoints[1]
+    );
     spec.parse().expect("the chaos remote spec parses")
+}
+
+/// The `gateway:EP` (or `remote:EP`) shape: one shard owning every class.
+fn solo_refusing(endpoint: Endpoint) -> FleetTopology {
+    FleetTopology {
+        stale: StaleWorkers::Refuse,
+        ..FleetTopology::new(vec![FleetShard::solo(endpoint)])
+    }
 }
 
 fn spawn_worker(reference: Arc<ReferenceSet>) -> Endpoint {

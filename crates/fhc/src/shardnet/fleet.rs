@@ -8,7 +8,9 @@
 //! partition a worker advertises, the fleet's own deal is what it serves.
 //! The `remote:EP[,EP...]` spec is a fleet of replica-less shards in the
 //! listed order, and `gateway:EP` a one-shard fleet whose node (an
-//! `fhc-gateway`) owns every class. On top of plain fan-out the fleet adds:
+//! `fhc-gateway`) owns every class; both refuse a worker holding another
+//! artifact ([`StaleWorkers::Refuse`]). On top of plain fan-out the fleet
+//! adds:
 //!
 //! - **Membership & health** ([`FleetView`]): every endpoint carries a
 //!   health state. A failing node is marked down and its redials are gated
@@ -35,7 +37,9 @@
 //!   by [`ReferenceSet::encode_slice`], so it joins holding only its
 //!   partition's samples. A worker advertising a stale fingerprint is
 //!   re-seeded the same way: rolling artifact upgrades ride the existing
-//!   fingerprint handshake.
+//!   fingerprint handshake. A `stale=refuse` topology
+//!   ([`StaleWorkers::Refuse`]) refuses such a worker with a typed
+//!   handshake error instead.
 //! - **Delta push** ([`wire::PushDelta`]): when an [`ArtifactDelta`] whose
 //!   base matches a stale worker's advertised fingerprint has been
 //!   registered ([`FleetView::register_delta`]), the upgrade ships only the
@@ -48,10 +52,11 @@
 //!   answering for the wrong tenant surfaces as the typed
 //!   [`NetError::Tenant`], never as a silent empty row.
 //!
-//! Scoring goes through [`FleetBackend`], whose rows are byte-identical to
-//! every other backend: the winning node scores through the same prepared
-//! index, and `merge_partial_row` rejects any cell outside the member's
-//! partition.
+//! Scoring goes through [`FleetBackend`] on the calling thread: a query is
+//! fired at every shard before any reply is awaited, and the replies are
+//! polled in one loop. Its rows are byte-identical to every other
+//! backend: the winning node scores through the same prepared index, and
+//! `merge_partial_row` rejects any cell outside the member's partition.
 
 use crate::artifact::ArtifactDelta;
 use crate::backend::{round_robin_partition, SimilarityBackend};
@@ -245,6 +250,25 @@ pub struct FleetTopology {
     /// says otherwise. `hedge_ms=` and `backoff_ms=` items may appear
     /// anywhere in the `;`-separated list.
     pub tuning: FleetTuning,
+    /// What the fleet does with a worker holding another artifact;
+    /// [`StaleWorkers::Push`] unless the spec has a `stale=refuse` item
+    /// (the `remote:` and `gateway:` specs parse to it).
+    pub stale: StaleWorkers,
+}
+
+/// What a fleet does when a push-capable worker (or tenant slot)
+/// advertises a fingerprint other than the fleet's own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum StaleWorkers {
+    /// Re-seed it by reference push (or delta push): the rolling-upgrade
+    /// path of a `fleet:` spec.
+    #[default]
+    Push,
+    /// Refuse it with a typed fingerprint [`NetError::Handshake`], so a
+    /// client holding another artifact never replaces the one a shared
+    /// daemon serves its other clients. A diskless worker (fingerprint
+    /// `0`) and a registered delta base are still seeded.
+    Refuse,
 }
 
 impl FleetTopology {
@@ -253,6 +277,7 @@ impl FleetTopology {
         Self {
             shards,
             tuning: FleetTuning::default(),
+            stale: StaleWorkers::default(),
         }
     }
 }
@@ -263,6 +288,7 @@ impl std::str::FromStr for FleetTopology {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut shards: Vec<FleetShard> = Vec::new();
         let mut tuning = FleetTuning::default();
+        let mut stale = StaleWorkers::default();
         for item in s.split(';') {
             let item = item.trim();
             if item.is_empty() {
@@ -298,6 +324,16 @@ impl std::str::FromStr for FleetTopology {
                     base: Duration::from_millis(ms[0]),
                     cap: Duration::from_millis(ms[1]),
                 };
+            } else if let Some(policy) = item.strip_prefix("stale=") {
+                stale = match policy {
+                    "push" => StaleWorkers::Push,
+                    "refuse" => StaleWorkers::Refuse,
+                    other => {
+                        return Err(format!(
+                            "invalid stale policy {other:?}: expected push or refuse"
+                        ))
+                    }
+                };
             } else {
                 shards.push(FleetShard::solo(item.parse::<Endpoint>()?));
             }
@@ -305,7 +341,11 @@ impl std::str::FromStr for FleetTopology {
         if shards.is_empty() {
             return Err("a fleet needs at least one shard endpoint".into());
         }
-        Ok(FleetTopology { shards, tuning })
+        Ok(FleetTopology {
+            shards,
+            tuning,
+            stale,
+        })
     }
 }
 
@@ -343,6 +383,9 @@ impl std::fmt::Display for FleetTopology {
                 self.tuning.backoff.base.as_millis(),
                 self.tuning.backoff.cap.as_millis()
             )?;
+        }
+        if self.stale == StaleWorkers::Refuse {
+            f.write_str(";stale=refuse")?;
         }
         Ok(())
     }
@@ -466,6 +509,9 @@ pub struct FleetView {
     expect: HandshakeExpect,
     clock: Arc<dyn FleetClock>,
     backoff: BackoffPolicy,
+    /// The topology's [`StaleWorkers`] policy, applied on every redial;
+    /// admit and evict keep it.
+    stale: StaleWorkers,
     topology: Mutex<FleetTopology>,
     members: RwLock<Vec<Arc<FleetMember>>>,
     /// Registered artifact deltas, keyed by base fingerprint: a stale
@@ -530,18 +576,13 @@ impl FleetView {
             n_columns: reference.n_columns(),
             tenant: tenant.map(str::to_string),
         };
-        let members = build_members(
-            &reference,
-            &expect,
-            &topology.shards,
-            &BTreeMap::new(),
-            topology.tuning,
-        )?;
+        let members = build_members(&reference, &expect, &topology, &BTreeMap::new())?;
         Ok(Self {
             reference,
             expect,
             clock,
             backoff,
+            stale: topology.stale,
             topology: Mutex::new(topology),
             members: RwLock::new(members),
             deltas: RwLock::new(BTreeMap::new()),
@@ -617,9 +658,8 @@ impl FleetView {
         let members = build_members(
             &self.reference,
             &self.expect,
-            &proposed.shards,
+            &proposed,
             &self.deltas_snapshot(),
-            proposed.tuning,
         )?;
         // Failpoint: a fault between validation and cutover must leave the
         // old fleet serving unchanged — the invariant the chaos soak
@@ -651,9 +691,8 @@ impl FleetView {
         let members = build_members(
             &self.reference,
             &self.expect,
-            &proposed.shards,
+            &proposed,
             &self.deltas_snapshot(),
-            proposed.tuning,
         )?;
         crate::shardnet::inject("fleet.cutover", "fleet")?;
         *self.members.write().unwrap_or_else(|p| p.into_inner()) = members;
@@ -713,6 +752,7 @@ impl FleetView {
                 &node.endpoint,
                 &node.classes,
                 node.pushed.load(Ordering::Relaxed),
+                self.stale,
                 &self.deltas_snapshot(),
             ) {
                 Ok((fresh, pushed)) => {
@@ -740,7 +780,8 @@ impl FleetView {
 
     /// Start racing `bytes` across a member's nodes: fire the preferred
     /// node (see [`FleetMember::candidate_order`]), or the first node that
-    /// accepts the submit. [`FleetView::finish_request`] awaits the winner.
+    /// accepts the submit. [`FleetView::poll_request`] drives it to a
+    /// winner.
     fn start_request<'m>(
         &self,
         member: &'m FleetMember,
@@ -775,64 +816,64 @@ impl FleetView {
         }
     }
 
-    /// Await a started request until one valid reply wins.
+    /// Advance a started request by one poll, returning its outcome once
+    /// one valid reply wins or every node has failed.
     ///
-    /// Every [`FleetMember::hedge_delay`] without a reply, counted from the
-    /// request's start, the same frame is fired at the next node — same
-    /// id, distinct connection, so the mux correlation stays exact. A node
-    /// that *fails* (connection lost, remote error) is marked down and the
-    /// next node is tried immediately. The first `Ok` reply wins: its
-    /// latency feeds the windows and the losing replies are left to the
-    /// abandoned-id drain. Only when every node has failed does the last
-    /// error surface.
-    fn finish_request(
+    /// The first in-flight reply is awaited for up to `wait`, the others
+    /// are only checked. Once [`HedgedRequest::next_hedge`] has passed, the
+    /// same frame is fired at the next node — same id, distinct
+    /// connection, so the mux correlation stays exact. A node that *fails*
+    /// (connection lost, remote error) is marked down and the next node
+    /// is tried immediately. The first `Ok` reply wins: its latency,
+    /// measured to when the mux delivered it, feeds the windows, and the
+    /// losing replies are left to the abandoned-id drain. Only when every
+    /// node has failed does the last error surface.
+    fn poll_request(
         &self,
-        mut request: HedgedRequest<'_>,
+        request: &mut HedgedRequest<'_>,
         id: u64,
         bytes: &[u8],
-    ) -> Result<(String, ClientReply), NetError> {
+        wait: Duration,
+    ) -> Option<Result<(String, ClientReply), NetError>> {
         let member = request.member;
-        loop {
-            let mut i = 0;
-            while i < request.in_flight.len() {
-                let (node_index, pending, fired_at) = &mut request.in_flight[i];
-                match pending.poll_timeout(POLL_QUANTUM) {
-                    Some(Ok(reply)) => {
-                        let node = &member.nodes[*node_index];
-                        let elapsed = fired_at.elapsed();
-                        node.window.record(elapsed);
-                        member.window.record(elapsed);
-                        self.mark_up(node);
-                        return Ok((node.endpoint.to_string(), reply));
-                    }
-                    Some(Err(e)) => {
-                        let node = &member.nodes[*node_index];
-                        self.mark_down(node);
-                        request.last_err = Some(net_error_from_mux(&node.endpoint.to_string(), e));
-                        request.in_flight.swap_remove(i);
-                    }
-                    None => i += 1,
+        let mut i = 0;
+        while i < request.in_flight.len() {
+            let (node_index, pending, fired_at) = &mut request.in_flight[i];
+            match pending.poll_timeout(if i == 0 { wait } else { Duration::ZERO }) {
+                Some(Ok(reply)) => {
+                    let node = &member.nodes[*node_index];
+                    let arrived = pending.arrived_at().unwrap_or_else(Instant::now);
+                    let elapsed = arrived.saturating_duration_since(*fired_at);
+                    node.window.record(elapsed);
+                    member.window.record(elapsed);
+                    self.mark_up(node);
+                    return Some(Ok((node.endpoint.to_string(), reply)));
                 }
-            }
-            let hedge_due = request.in_flight.is_empty()
-                || request.started.elapsed()
-                    >= request
-                        .hedge_delay
-                        .saturating_mul(request.in_flight.len() as u32);
-            if hedge_due {
-                self.fire_next(&mut request, id, bytes);
-            }
-            if request.in_flight.is_empty() {
-                return Err(request
-                    .last_err
-                    .unwrap_or_else(|| NetError::Partition("shard has no reachable node".into())));
+                Some(Err(e)) => {
+                    let node = &member.nodes[*node_index];
+                    self.mark_down(node);
+                    request.last_err = Some(net_error_from_mux(&node.endpoint.to_string(), e));
+                    request.in_flight.swap_remove(i);
+                }
+                None => i += 1,
             }
         }
+        if request.in_flight.is_empty()
+            || request.next_hedge().is_some_and(|at| Instant::now() >= at)
+        {
+            self.fire_next(request, id, bytes);
+        }
+        if request.in_flight.is_empty() {
+            return Some(Err(request.last_err.take().unwrap_or_else(|| {
+                NetError::Partition("shard has no reachable node".into())
+            })));
+        }
+        None
     }
 }
 
 /// One member's request in flight, between [`FleetView::start_request`] and
-/// [`FleetView::finish_request`].
+/// the [`FleetView::poll_request`] that returns its outcome.
 struct HedgedRequest<'m> {
     member: &'m FleetMember,
     hedge_delay: Duration,
@@ -844,6 +885,16 @@ struct HedgedRequest<'m> {
     started: Instant,
 }
 
+impl HedgedRequest<'_> {
+    /// When the next hedge is due — one [`FleetMember::hedge_delay`] past
+    /// the request's start per node already in flight — or `None` once
+    /// every node has been fired at.
+    fn next_hedge(&self) -> Option<Instant> {
+        (!self.candidates.as_slice().is_empty())
+            .then(|| self.started + self.hedge_delay.saturating_mul(self.in_flight.len() as u32))
+    }
+}
+
 /// Dial, handshake, partition, and mux every node of every shard — the
 /// shared machinery of [`FleetView::connect`] and the repartition paths.
 /// The exact-cover invariant over the dealt partition is asserted before
@@ -851,10 +902,10 @@ struct HedgedRequest<'m> {
 fn build_members(
     reference: &ReferenceSet,
     expect: &HandshakeExpect,
-    shards: &[FleetShard],
+    topology: &FleetTopology,
     deltas: &BTreeMap<u64, Arc<ArtifactDelta>>,
-    tuning: FleetTuning,
 ) -> Result<Vec<Arc<FleetMember>>, NetError> {
+    let shards = &topology.shards;
     if shards.is_empty() {
         return Err(NetError::Partition(
             "a fleet needs at least one shard".into(),
@@ -878,8 +929,14 @@ fn build_members(
             let nodes = shard
                 .endpoints()
                 .map(|endpoint| {
-                    let (mux, pushed) =
-                        connect_node_auto(reference, expect, endpoint, &classes, deltas)?;
+                    let (mux, pushed) = connect_node_auto(
+                        reference,
+                        expect,
+                        endpoint,
+                        &classes,
+                        topology.stale,
+                        deltas,
+                    )?;
                     Ok(FleetNode {
                         endpoint: endpoint.clone(),
                         classes: classes.clone(),
@@ -894,7 +951,7 @@ fn build_members(
                 classes,
                 nodes,
                 window: LatencyWindow::default(),
-                tuning,
+                tuning: topology.tuning,
             }))
         })
         .collect()
@@ -910,11 +967,12 @@ fn connect_node_auto(
     expect: &HandshakeExpect,
     endpoint: &Endpoint,
     classes: &[usize],
+    stale: StaleWorkers,
     deltas: &BTreeMap<u64, Arc<ArtifactDelta>>,
 ) -> Result<(Mux<ClientReply>, bool), NetError> {
-    match connect_node(reference, expect, endpoint, classes, false, deltas) {
+    match connect_node(reference, expect, endpoint, classes, false, stale, deltas) {
         Err(NetError::Remote { .. } | NetError::Partition(_)) => {
-            connect_node(reference, expect, endpoint, classes, true, deltas)
+            connect_node(reference, expect, endpoint, classes, true, stale, deltas)
         }
         done => done,
     }
@@ -929,13 +987,18 @@ fn connect_node_auto(
 /// when `force_push` is set. When the stale fingerprint matches a
 /// registered delta's base, the upgrade ships the delta instead
 /// ([`wire::PushDelta`]); any delta failure falls back to the full push
-/// on a fresh dial. Returns the mux and whether a push was performed.
+/// on a fresh dial. Under [`StaleWorkers::Refuse`] only a worker with no
+/// other artifact to lose is pushed to — a diskless one, one already on
+/// the fleet's fingerprint, or a registered delta base — and any other
+/// mismatch fails the handshake. Returns the mux and whether a push was
+/// performed.
 fn connect_node(
     reference: &ReferenceSet,
     expect: &HandshakeExpect,
     endpoint: &Endpoint,
     classes: &[usize],
     force_push: bool,
+    stale: StaleWorkers,
     deltas: &BTreeMap<u64, Arc<ArtifactDelta>>,
 ) -> Result<(Mux<ClientReply>, bool), NetError> {
     let peer = endpoint.to_string();
@@ -947,7 +1010,11 @@ fn connect_node(
     if hello.tenant != expect.tenant_name() {
         hello = select_tenant(&mut conn, &peer, expect.tenant_name())?;
     }
-    let must_push = force_push || hello.fingerprint != expect.fingerprint;
+    let may_push = stale == StaleWorkers::Push
+        || hello.fingerprint == 0
+        || hello.fingerprint == expect.fingerprint
+        || deltas.contains_key(&hello.fingerprint);
+    let must_push = may_push && (force_push || hello.fingerprint != expect.fingerprint);
     let mut pushed = false;
     if must_push && !force_push && hello.supports(wire::FEATURE_DELTA_PUSH) {
         if let Some(delta) = deltas
@@ -962,7 +1029,9 @@ fn connect_node(
                 // The worker refused or dropped the delta (a sparse
                 // worker missing a retired class does); fall back to the
                 // full push on a fresh dial.
-                Err(_) => return connect_node(reference, expect, endpoint, classes, true, deltas),
+                Err(_) => {
+                    return connect_node(reference, expect, endpoint, classes, true, stale, deltas)
+                }
             }
         }
     }
@@ -1117,23 +1186,44 @@ fn push_delta(
 }
 
 /// Send one request to every member and collect the per-member outcomes in
-/// member order. Every member is started before any is finished, so every
-/// member's preferred node is in flight at once; the mux threads do the
-/// blocking, and each member's hedge deadline counts from its own start.
+/// member order, on the calling thread.
+///
+/// Every member is started before any is polled, so every member's
+/// preferred node is in flight at once; the mux threads do the blocking.
+/// Each pass then polls every open member: only the first waits, and never
+/// past [`POLL_QUANTUM`] or the earliest hedge deadline, so every member
+/// hedges on time however slow the others are. Latencies are measured to
+/// each reply's delivery, not to the pass that noticed it.
 fn scatter(
     view: &FleetView,
     members: &[Arc<FleetMember>],
     id: u64,
     bytes: &[u8],
 ) -> Vec<Result<(String, ClientReply), NetError>> {
-    let started: Vec<HedgedRequest<'_>> = members
+    let mut open: Vec<(usize, HedgedRequest<'_>)> = members
         .iter()
         .map(|member| view.start_request(member, id, bytes))
+        .enumerate()
         .collect();
-    started
-        .into_iter()
-        .map(|request| view.finish_request(request, id, bytes))
-        .collect()
+    let mut done = Vec::with_capacity(open.len());
+    while !open.is_empty() {
+        let now = Instant::now();
+        let mut wait = open
+            .iter()
+            .filter_map(|(_, request)| request.next_hedge())
+            .map(|at| at.saturating_duration_since(now))
+            .fold(POLL_QUANTUM, Duration::min);
+        let mut k = 0;
+        while k < open.len() {
+            match view.poll_request(&mut open[k].1, id, bytes, wait) {
+                Some(outcome) => done.push((open.swap_remove(k).0, outcome)),
+                None => k += 1,
+            }
+            wait = Duration::ZERO;
+        }
+    }
+    done.sort_unstable_by_key(|(member, _)| *member);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// A [`SimilarityBackend`] scoring through a [`FleetView`]: fans each query
@@ -1405,6 +1495,17 @@ mod tests {
         assert!("".parse::<FleetTopology>().is_err());
         assert!("replica=host:1".parse::<FleetTopology>().is_err());
         assert!("host:1;;host:2".parse::<FleetTopology>().is_err());
+
+        // `stale=push` is the default and not displayed; `stale=refuse`
+        // round-trips.
+        let pushing: FleetTopology = "host:1;stale=push".parse().expect("parse");
+        assert_eq!(pushing.stale, StaleWorkers::Push);
+        assert_eq!(pushing.to_string(), "tcp:host:1");
+        let refusing: FleetTopology = "stale=refuse;host:1".parse().expect("parse");
+        assert_eq!(refusing.stale, StaleWorkers::Refuse);
+        assert_eq!(refusing.to_string(), "tcp:host:1;stale=refuse");
+        assert_eq!(refusing.to_string().parse::<FleetTopology>(), Ok(refusing));
+        assert!("host:1;stale=maybe".parse::<FleetTopology>().is_err());
     }
 
     #[test]
@@ -1714,6 +1815,86 @@ mod tests {
             backend.try_feature_rows_prepared(&queries).expect("rows"),
             expected
         );
+    }
+
+    /// A TCP relay in front of `upstream` that holds every request-bound
+    /// chunk for the current `lag` (zero while the fleet connects).
+    fn lagging_link(upstream: &Endpoint, lag: Arc<Mutex<Duration>>) -> Endpoint {
+        use std::io::{Read, Write};
+        use std::net::{Shutdown, TcpStream};
+        let Endpoint::Tcp(upstream) = upstream.clone() else {
+            panic!("the relay fronts TCP endpoints")
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+        let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+        std::thread::spawn(move || {
+            for down in listener.incoming() {
+                let Ok(down) = down else { return };
+                let up = TcpStream::connect(&upstream).expect("dial upstream");
+                let pump = |mut from: TcpStream, mut to: TcpStream, lag: Option<Arc<Mutex<_>>>| {
+                    move || {
+                        let mut buf = vec![0u8; 64 << 10];
+                        while let Ok(n @ 1..) = from.read(&mut buf) {
+                            if let Some(lag) = &lag {
+                                std::thread::sleep(*lag.lock().unwrap());
+                            }
+                            if to.write_all(&buf[..n]).is_err() {
+                                break;
+                            }
+                        }
+                        let _ = to.shutdown(Shutdown::Write);
+                    }
+                };
+                let (down2, up2) = (down.try_clone().unwrap(), up.try_clone().unwrap());
+                std::thread::spawn(pump(down, up, Some(Arc::clone(&lag))));
+                std::thread::spawn(pump(up2, down2, None));
+            }
+        });
+        endpoint
+    }
+
+    #[test]
+    fn every_member_hedges_on_time_and_records_only_its_own_latency() {
+        let rs = reference();
+        let queries = queries();
+        // Shard 0 is one very slow node, shard 1 a slow primary with a
+        // fast replica, shard 2 one fast node. Hedges fire 20ms into a
+        // request. The links lag only once the fleet is connected.
+        let (lag0, lag1) = (Arc::default(), Arc::default());
+        let spec = format!(
+            "{};{};replica={};{};hedge_ms=20,1,1000",
+            lagging_link(&spawn_loaded_worker(&rs), Arc::clone(&lag0)),
+            lagging_link(&spawn_loaded_worker(&rs), Arc::clone(&lag1)),
+            spawn_loaded_worker(&rs),
+            spawn_loaded_worker(&rs)
+        );
+        let backend =
+            FleetBackend::connect(Arc::clone(&rs), spec.parse().unwrap()).expect("connect");
+        let members = backend.view().members();
+        assert_eq!(members.len(), 3);
+
+        let (very_slow, slow) = (Duration::from_millis(600), Duration::from_millis(200));
+        *lag0.lock().unwrap() = very_slow;
+        *lag1.lock().unwrap() = slow;
+        let started = Instant::now();
+        assert_eq!(
+            backend.try_feature_rows_prepared(&queries).expect("rows"),
+            expected_rows(&rs, &queries)
+        );
+        let took = started.elapsed();
+        *lag0.lock().unwrap() = Duration::ZERO;
+        *lag1.lock().unwrap() = Duration::ZERO;
+        assert!(took >= very_slow, "shard 0 has no other node");
+
+        let recorded = |window: &LatencyWindow| window.percentile(1.0).expect("one sample");
+        assert!(recorded(&members[0].window) >= very_slow);
+        // Shard 1 hedged on time while shard 0 was still waiting: its
+        // replica won before the slow primary could answer.
+        assert!(members[1].nodes[0].window.median().is_none());
+        assert!(recorded(&members[1].nodes[1].window) < slow);
+        assert!(recorded(&members[1].window) < slow);
+        // Shard 2's latency is its own, not shard 0's wait.
+        assert!(recorded(&members[2].window) < slow);
     }
 
     /// A manual clock: starts at a real instant, advances only on demand.

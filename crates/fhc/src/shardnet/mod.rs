@@ -53,7 +53,9 @@ pub mod remote;
 pub mod wire;
 pub mod worker;
 
-pub use fleet::{BackoffPolicy, FleetBackend, FleetShard, FleetTopology, FleetTuning, FleetView};
+pub use fleet::{
+    BackoffPolicy, FleetBackend, FleetShard, FleetTopology, FleetTuning, FleetView, StaleWorkers,
+};
 pub use gateway::{Gateway, GatewayOptions};
 pub use worker::{ShardWorker, TenantHost, WorkerHost};
 

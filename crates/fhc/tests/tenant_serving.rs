@@ -5,9 +5,8 @@
 //! makes: (1) two tenants behind **one** `fhc-shardd` are isolated — each
 //! client sees exactly the predictions its own artifact computes locally,
 //! an unregistered tenant is refused as a typed `NetError::Tenant` naming
-//! it, and a client whose artifact differs from its tenant's slot rolls
-//! that slot (and only that slot) forward by reference push, never
-//! serving a wrong row; (2) a worker patched over the wire by `ArtifactDelta`
+//! it, and a tenant/artifact mismatch is a typed handshake error that
+//! leaves the slot untouched, never a wrong row; (2) a worker patched over the wire by `ArtifactDelta`
 //! (`PushDelta`) serves byte-identical predictions alongside a full-push
 //! seeded worker, and the `fhc-artifact diff`/`apply` CLI reproduces the
 //! evolved artifact byte-for-byte. This is the test CI runs explicitly so
@@ -111,9 +110,8 @@ fn train(tag: &str, seed: u64) -> Trained {
     }
 }
 
-/// A `remote:ADDR;tenant=NAME` backend spec against one daemon.
 /// The fingerprint `tenant`'s slot advertises, read from a bare
-/// handshake (a backend connect could push and hide the answer).
+/// handshake.
 fn slot_fingerprint(endpoint: &Endpoint, tenant: &str) -> u64 {
     let mut conn = endpoint.connect().expect("dial the daemon");
     Frame::read_from(&mut conn, "daemon").expect("greeting");
@@ -134,6 +132,7 @@ fn slot_fingerprint(endpoint: &Endpoint, tenant: &str) -> u64 {
     }
 }
 
+/// A `remote:ADDR;tenant=NAME` backend spec against one daemon.
 fn tenant_config(endpoint: &Endpoint, tenant: &str) -> FhcConfig {
     let spec = format!("remote:{endpoint};tenant={tenant}");
     FhcConfig::new().backend(spec.parse::<BackendConfig>().expect("spec parses"))
@@ -185,24 +184,22 @@ fn two_tenants_behind_one_daemon_are_isolated_and_cross_tenant_is_typed() {
         other => panic!("expected a typed tenant rejection, got {other:?}"),
     }
 
-    // Selecting one tenant while holding another tenant's artifact is a
-    // fingerprint mismatch on a push-capable daemon: the fleet client rolls
-    // the selected slot forward to its own artifact (the rolling-upgrade
-    // path), so it is served its own artifact's predictions — never a
-    // wrong row — and the other tenant's slot is untouched.
-    let rolled = TrainedClassifier::load_with(&beta.artifact, &tenant_config(&endpoint, "acme"))
-        .expect("the acme slot is rolled forward to the client's artifact");
+    // Selecting one tenant while expecting another tenant's artifact is a
+    // typed handshake error (fingerprint mismatch), never a wrong row —
+    // and never a push that replaces the slot's artifact.
+    match TrainedClassifier::load_with(&beta.artifact, &tenant_config(&endpoint, "acme")) {
+        Err(FhcError::Net(NetError::Handshake { detail, .. })) => {
+            assert!(
+                detail.contains("fingerprint"),
+                "unexpected detail: {detail}"
+            );
+        }
+        other => panic!("expected a typed handshake rejection, got {other:?}"),
+    }
     assert_eq!(
-        rolled.try_classify_batch(&beta.batch).expect("serves"),
-        beta.expected,
-        "a rolled-forward slot serves the client's own artifact"
-    );
-    let beta_fingerprint = beta.trained.reference().fingerprint();
-    assert_eq!(slot_fingerprint(&endpoint, "acme"), beta_fingerprint);
-    assert_eq!(
-        slot_fingerprint(&endpoint, "beta"),
-        beta_fingerprint,
-        "tenant beta is isolated from the push into acme"
+        slot_fingerprint(&endpoint, "acme"),
+        acme.trained.reference().fingerprint(),
+        "a refused client leaves the acme slot's artifact in place"
     );
 
     // A tenant-unaware client expects the default tenant; this daemon

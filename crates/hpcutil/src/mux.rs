@@ -37,7 +37,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -140,10 +140,14 @@ impl Default for MuxOptions {
 /// [`MuxState::high_water`]) proves the id was once ours.
 const ABANDONED_LIMIT: usize = 1024;
 
+/// What a waiter receives: the reply (or the connection's failure) and
+/// when the I/O thread delivered it.
+type Delivery<R> = (Result<R, MuxError>, Instant);
+
 /// Book-keeping protected by one short-lived lock: requests awaiting a
 /// reply, requests whose caller gave up, and the sticky first error.
 struct MuxState<R> {
-    pending: HashMap<u64, (Instant, SyncSender<Result<R, MuxError>>)>,
+    pending: HashMap<u64, (Instant, SyncSender<Delivery<R>>)>,
     /// Ids whose [`PendingReply`] was dropped before the reply arrived; a
     /// late reply for one of these is discarded instead of treated as a
     /// protocol violation. Bounded by [`ABANDONED_LIMIT`].
@@ -186,8 +190,9 @@ impl<R> Shared<R> {
             st.abandoned_order.clear();
             (err, drained)
         };
+        let now = Instant::now();
         for tx in drained {
-            let _ = tx.send(Err(err.clone()));
+            let _ = tx.send((Err(err.clone()), now));
         }
         if !self.closed.swap(true, Ordering::SeqCst) {
             (self.closer)();
@@ -202,7 +207,7 @@ impl<R> Shared<R> {
     /// trusted.
     fn deliver(&self, id: u64, reply: R) -> bool {
         enum Route<R> {
-            Waiter(SyncSender<Result<R, MuxError>>),
+            Waiter(SyncSender<Delivery<R>>),
             Discard,
             Unknown,
         }
@@ -223,7 +228,7 @@ impl<R> Shared<R> {
             Route::Waiter(tx) => {
                 // A failed send means the waiter gave up between our map
                 // lookup and the send; the reply is simply discarded.
-                let _ = tx.send(Ok(reply));
+                let _ = tx.send((Ok(reply), Instant::now()));
                 true
             }
             Route::Discard => true,
@@ -368,19 +373,22 @@ impl<R: Send + 'static> Mux<R> {
             rx,
             id,
             shared: Arc::clone(&self.shared),
-            waited: false,
+            arrived: None,
         };
         {
             let mut st = self.shared.lock();
             if let Some(err) = &st.poisoned {
-                let _ = tx.send(Err(err.clone()));
+                let _ = tx.send((Err(err.clone()), Instant::now()));
                 return pending;
             }
             if st.pending.contains_key(&id) || st.abandoned.contains(&id) {
-                let _ = tx.send(Err(MuxError::new(
-                    MuxErrorKind::Decode,
-                    format!("request id {id} is already in flight or awaiting reply drain"),
-                )));
+                let _ = tx.send((
+                    Err(MuxError::new(
+                        MuxErrorKind::Decode,
+                        format!("request id {id} is already in flight or awaiting reply drain"),
+                    )),
+                    Instant::now(),
+                ));
                 return pending;
             }
             st.high_water = Some(st.high_water.map_or(id, |hw| hw.max(id)));
@@ -437,10 +445,11 @@ impl<R> Drop for Mux<R> {
 /// the reply (or the connection's failure) arrives. Dropping it without
 /// waiting abandons the request: a late reply is discarded quietly.
 pub struct PendingReply<R> {
-    rx: Receiver<Result<R, MuxError>>,
+    rx: Receiver<Delivery<R>>,
     id: u64,
     shared: Arc<Shared<R>>,
-    waited: bool,
+    /// When the reply was delivered, once it has been received.
+    arrived: Option<Instant>,
 }
 
 impl<R> std::fmt::Debug for PendingReply<R> {
@@ -455,15 +464,20 @@ impl<R> PendingReply<R> {
     /// Block until the reply arrives, the connection fails, or the mux is
     /// dropped.
     pub fn wait(mut self) -> Result<R, MuxError> {
-        self.waited = true;
         match self.rx.recv() {
-            Ok(result) => result,
+            Ok((result, at)) => {
+                self.arrived = Some(at);
+                result
+            }
             // Unreachable in practice: the sender is either in the pending
             // map (drained with an error on poison) or used to deliver.
-            Err(_) => Err(MuxError::new(
-                MuxErrorKind::Closed,
-                "reply channel closed without a reply",
-            )),
+            Err(_) => {
+                self.arrived = Some(Instant::now());
+                Err(MuxError::new(
+                    MuxErrorKind::Closed,
+                    "reply channel closed without a reply",
+                ))
+            }
         }
     }
 
@@ -475,16 +489,25 @@ impl<R> PendingReply<R> {
     ///
     /// Returns `Some` the first time the reply (or the connection's
     /// failure) arrives; the handle is spent after that — keep the result,
-    /// further polls would time out forever.
+    /// further polls would time out forever. A zero `timeout` only checks,
+    /// without the spin-then-yield a channel runs before it blocks.
     pub fn poll_timeout(&mut self, timeout: Duration) -> Option<Result<R, MuxError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => {
-                self.waited = true;
+        let received = if timeout.is_zero() {
+            self.rx.try_recv().map_err(|e| match e {
+                TryRecvError::Empty => RecvTimeoutError::Timeout,
+                TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+            })
+        } else {
+            self.rx.recv_timeout(timeout)
+        };
+        match received {
+            Ok((result, at)) => {
+                self.arrived = Some(at);
                 Some(result)
             }
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => {
-                self.waited = true;
+                self.arrived = Some(Instant::now());
                 Some(Err(MuxError::new(
                     MuxErrorKind::Closed,
                     "reply channel closed without a reply",
@@ -492,11 +515,18 @@ impl<R> PendingReply<R> {
             }
         }
     }
+
+    /// When the I/O thread delivered the reply (or the failure) a poll
+    /// returned; `None` until then. A caller polling several replies in
+    /// turn measures latency from this, not from when its poll returned.
+    pub fn arrived_at(&self) -> Option<Instant> {
+        self.arrived
+    }
 }
 
 impl<R> Drop for PendingReply<R> {
     fn drop(&mut self) {
-        if self.waited {
+        if self.arrived.is_some() {
             return;
         }
         let mut st = self.shared.lock();
@@ -980,6 +1010,28 @@ mod tests {
             .wait()
             .expect("reused id after the drain");
         assert_eq!(&payload[8..], b"fresh winner reply");
+        drop(mux);
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn arrival_time_is_the_delivery_not_the_poll() {
+        let (addr, server) = frame_server(|mut stream| {
+            while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
+                write_frame(&mut stream, tag, &payload).expect("echo");
+            }
+        });
+        let mux = connect_mux(&addr, MuxOptions::default());
+        let submitted = Instant::now();
+        let mut pending = mux.submit(1, request_bytes(3, 1, b"stamp"));
+        assert_eq!(pending.arrived_at(), None);
+        // The echo lands long before this poll runs.
+        std::thread::sleep(Duration::from_millis(200));
+        let polled = Instant::now();
+        let reply = pending.poll_timeout(Duration::from_secs(5));
+        assert!(matches!(reply, Some(Ok(_))), "echoed reply");
+        let arrived = pending.arrived_at().expect("stamped on receipt");
+        assert!(submitted <= arrived && arrived < polled);
         drop(mux);
         server.join().expect("server thread");
     }

@@ -16,7 +16,7 @@ use fhc::serving::TrainedClassifier;
 use fhc::shardnet::{
     gateway, worker, Endpoint, FleetShard, FleetTopology, Gateway, GatewayOptions,
 };
-use fhc::shardnet::{NetError, ShardWorker};
+use fhc::shardnet::{NetError, ShardWorker, StaleWorkers};
 use fhc::similarity::ReferenceSet;
 use fhc::FhcError;
 use std::net::TcpListener;
@@ -24,12 +24,9 @@ use std::sync::Arc;
 
 /// The `gateway:EP` backend: a one-shard fleet pointed at `front`.
 fn dial(reference: &Arc<ReferenceSet>, front: &Endpoint) -> fhc::backend::AnyBackend {
-    BackendConfig::Fleet {
-        topology: FleetTopology::new(vec![FleetShard::solo(front.clone())]),
-        tenant: None,
-    }
-    .try_build(Arc::clone(reference))
-    .expect("dial gateway")
+    BackendConfig::remote([front.clone()])
+        .try_build(Arc::clone(reference))
+        .expect("dial gateway")
 }
 
 /// Spawn `n` loopback shard workers, each serving every class (the gateway
@@ -303,17 +300,21 @@ fn a_killed_worker_behind_the_gateway_is_a_typed_error() {
     }
 }
 
-/// `gateway:EP` parses to a one-shard fleet, displays in the canonical
-/// fleet form, and round-trips.
+/// `gateway:EP` parses to a one-shard fleet that refuses workers holding
+/// another artifact, displays in the canonical fleet form, and
+/// round-trips.
 #[test]
 fn gateway_backend_config_parses_and_displays() {
     let one_shard = |endpoint: Endpoint| BackendConfig::Fleet {
-        topology: FleetTopology::new(vec![FleetShard::solo(endpoint)]),
+        topology: FleetTopology {
+            stale: StaleWorkers::Refuse,
+            ..FleetTopology::new(vec![FleetShard::solo(endpoint)])
+        },
         tenant: None,
     };
     let config: BackendConfig = "gateway:127.0.0.1:7000".parse().expect("parses");
     assert_eq!(config, one_shard(Endpoint::Tcp("127.0.0.1:7000".into())));
-    assert_eq!(config.to_string(), "fleet:tcp:127.0.0.1:7000");
+    assert_eq!(config.to_string(), "fleet:tcp:127.0.0.1:7000;stale=refuse");
     assert_eq!(config.to_string().parse::<BackendConfig>(), Ok(config));
     let uds: BackendConfig = "gateway:unix:/run/fhc/gw.sock".parse().expect("parses");
     assert_eq!(uds, one_shard(Endpoint::Unix("/run/fhc/gw.sock".into())));

@@ -7,12 +7,13 @@
 //! for worker counts 1/2/3/`n_classes`, including empty-class and
 //! single-class references and empty worker partitions. Failure is typed: a
 //! worker that dies mid-batch produces [`fhc::FhcError::Net`] — never a
-//! wrong or partial row — and a worker without batch scoring is refused
-//! at connect.
+//! wrong or partial row — and a worker without batch scoring, or one
+//! holding another artifact, is refused at connect.
 
 mod common;
 
 use common::spawn_loopback_workers;
+use fhc::artifact::ArtifactDelta;
 use fhc::backend::round_robin_partition;
 use fhc::backend::{BackendConfig, SimilarityBackend};
 use fhc::config::FhcConfig;
@@ -21,8 +22,8 @@ use fhc::pipeline::{FuzzyHashClassifier, PipelineConfig};
 use fhc::serving::TrainedClassifier;
 use fhc::shardnet::wire::{self, Frame};
 use fhc::shardnet::{
-    Endpoint, FleetBackend, FleetShard, FleetTopology, Gateway, GatewayOptions, NetError,
-    ShardWorker,
+    worker, Endpoint, FleetBackend, FleetShard, FleetTopology, Gateway, GatewayOptions, NetError,
+    ShardWorker, StaleWorkers, TenantHost,
 };
 use fhc::similarity::ReferenceSet;
 use fhc::FhcError;
@@ -33,7 +34,11 @@ use std::sync::Arc;
 /// per endpoint, in order.
 fn remote(reference: &Arc<ReferenceSet>, endpoints: &[Endpoint]) -> Result<FleetBackend, NetError> {
     let shards = endpoints.iter().cloned().map(FleetShard::solo).collect();
-    FleetBackend::connect(Arc::clone(reference), FleetTopology::new(shards))
+    let topology = FleetTopology {
+        stale: StaleWorkers::Refuse,
+        ..FleetTopology::new(shards)
+    };
+    FleetBackend::connect(Arc::clone(reference), topology)
 }
 
 /// The class partition each shard of `fleet` serves, in shard order.
@@ -444,6 +449,76 @@ fn handshake_rejects_a_mismatched_reference_set() {
         }
         other => panic!("expected a fingerprint handshake failure, got {other:?}"),
     }
+}
+
+/// Serve a push-capable worker host over loopback: diskless with `None`,
+/// else holding `reference`.
+fn spawn_host(reference: Option<&Arc<ReferenceSet>>) -> Endpoint {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback host");
+    let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+    let loaded = reference.map(|rs| ShardWorker::all_classes(Arc::clone(rs)));
+    let host = Arc::new(TenantHost::single(loaded));
+    std::thread::spawn(move || worker::serve_host_tcp(host, listener));
+    endpoint
+}
+
+/// Rows of `fleet` over every probe, as bits, next to the scan oracle's.
+fn rows_and_oracle(fleet: &FleetBackend, reference: &Arc<ReferenceSet>) -> [Vec<Vec<u64>>; 2] {
+    let scan = BackendConfig::Scan.build(Arc::clone(reference));
+    let probes = probes();
+    let served = fleet.try_feature_rows_prepared(&probes).expect("rows");
+    [
+        served.iter().map(|row| bits(row)).collect(),
+        probes
+            .iter()
+            .map(|probe| bits(&scan.feature_vector_prepared(probe)))
+            .collect(),
+    ]
+}
+
+/// A `remote:` client never replaces the artifact a push-capable daemon
+/// serves: it seeds a diskless worker and upgrades a registered delta base,
+/// but any other fingerprint mismatch is a typed handshake error.
+#[test]
+fn remote_seeds_diskless_workers_but_refuses_to_replace_another_artifact() {
+    let ours = hand_built_reference(3);
+    let [served, expected] = rows_and_oracle(
+        &remote(&ours, &[spawn_host(None)]).expect("a diskless worker is seeded"),
+        &ours,
+    );
+    assert_eq!(served, expected);
+
+    let theirs = hand_built_reference(4);
+    let occupied = spawn_host(Some(&theirs));
+    match remote(&ours, std::slice::from_ref(&occupied)) {
+        Err(NetError::Handshake { detail, .. }) => {
+            assert!(detail.contains("fingerprint"), "got: {detail}");
+        }
+        other => panic!("expected a fingerprint handshake failure, got {other:?}"),
+    }
+    let untouched = remote(&theirs, &[occupied]).expect("the worker keeps its own artifact");
+    let [served, expected] = rows_and_oracle(&untouched, &theirs);
+    assert_eq!(served, expected);
+
+    // A worker on a registered delta's base is an upgrade the client
+    // asked for.
+    let mut evolved = (*ours).clone();
+    evolved
+        .add_class(
+            "class-3".into(),
+            vec![PreparedSampleFeatures::prepare(&make_sample("lammps", 0))],
+        )
+        .expect("append a class");
+    let evolved = Arc::new(evolved);
+    let fleet = remote(&evolved, &[spawn_host(Some(&evolved))]).expect("connect");
+    let delta = ArtifactDelta::between(&ours, &evolved).expect("diff");
+    fleet.view().register_delta(delta).expect("register");
+    fleet
+        .view()
+        .admit(FleetShard::solo(spawn_host(Some(&ours))))
+        .expect("the delta base is upgraded");
+    let [served, expected] = rows_and_oracle(&fleet, &evolved);
+    assert_eq!(served, expected);
 }
 
 #[test]
