@@ -211,7 +211,7 @@ impl ElfBuilder {
                 SymbolHome::Undefined => (SHN_UNDEF, 0),
             };
             let entry = Symbol {
-                name: sym.name.clone(),
+                name: sym.name.as_str().into(),
                 value: if sym.home == SymbolHome::Undefined {
                     0
                 } else {
@@ -255,7 +255,7 @@ impl ElfBuilder {
                             link: u32,
                             info: u32,
                             entsize: u64| Section {
-            name: section_names[idx].to_string(),
+            name: section_names[idx].into(),
             name_offset: sec_name_offsets[idx],
             sh_type,
             flags,
@@ -270,7 +270,7 @@ impl ElfBuilder {
             info,
             addralign: if idx == 0 { 0 } else { 8 },
             entsize,
-            data: Vec::new(),
+            data: &[],
         };
 
         let text_vaddr = BASE_VADDR + contents_start as u64;
@@ -383,12 +383,13 @@ mod tests {
         b.add_rodata_section(b"read only".to_vec());
         b.add_data_section(vec![9; 33]);
         b.add_comment_section(b"GCC: (GNU) 12.2.0\0".to_vec());
-        let elf = ElfFile::parse(&b.build()).unwrap();
+        let bytes = b.build();
+        let elf = ElfFile::parse(&bytes).unwrap();
         assert_eq!(elf.section_by_name(".text").unwrap().data, vec![0xAB; 100]);
         assert_eq!(elf.section_by_name(".rodata").unwrap().data, b"read only");
         assert_eq!(elf.section_by_name(".data").unwrap().data.len(), 33);
         assert!(
-            String::from_utf8_lossy(&elf.section_by_name(".comment").unwrap().data).contains("GCC")
+            String::from_utf8_lossy(elf.section_by_name(".comment").unwrap().data).contains("GCC")
         );
     }
 
@@ -399,7 +400,8 @@ mod tests {
         b.add_global_function("gfun", 0, 8);
         b.add_local_function("lfun", 8, 8);
         b.add_global_object("gobj", 0, 4);
-        let elf = ElfFile::parse(&b.build()).unwrap();
+        let bytes = b.build();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let syms = elf.symbols();
         // null, then locals, then globals
         assert_eq!(syms[0].name, "");
@@ -413,7 +415,8 @@ mod tests {
         let mut b = ElfBuilder::new();
         b.add_text_section(vec![0xC3; 8]);
         b.add_undefined_symbol("MPI_Init");
-        let elf = ElfFile::parse(&b.build()).unwrap();
+        let bytes = b.build();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let mpi = elf.symbols().iter().find(|s| s.name == "MPI_Init").unwrap();
         assert!(!mpi.is_defined());
     }
@@ -423,7 +426,8 @@ mod tests {
         let mut b = ElfBuilder::new();
         b.set_file_type(ET_DYN);
         b.add_text_section(vec![0x90; 16]);
-        let elf = ElfFile::parse(&b.build()).unwrap();
+        let bytes = b.build();
+        let elf = ElfFile::parse(&bytes).unwrap();
         assert_eq!(elf.header().e_type, ET_DYN);
         assert!(elf.header().is_executable_like());
     }
@@ -450,7 +454,8 @@ mod tests {
         let mut b = ElfBuilder::new();
         b.add_text_section(vec![0x90; 128]);
         b.add_global_function("kernel_main", 0x20, 32);
-        let elf = ElfFile::parse(&b.build()).unwrap();
+        let bytes = b.build();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let sym = elf
             .symbols()
             .iter()

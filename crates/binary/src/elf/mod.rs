@@ -28,6 +28,6 @@ pub mod types;
 pub use build::ElfBuilder;
 pub use header::ElfHeader;
 pub use parse::ElfFile;
-pub use section::Section;
+pub use section::{Section, StringTable};
 pub use strip::strip_symbols;
 pub use symbol::{Symbol, SymbolBinding, SymbolType};

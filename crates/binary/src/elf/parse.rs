@@ -1,43 +1,50 @@
 //! Whole-file ELF parsing: [`ElfFile`].
 
 use super::header::ElfHeader;
-use super::section::{string_at, Section};
+use super::section::{Section, StringTable};
 use super::symbol::Symbol;
 use super::types::*;
 use crate::error::BinaryError;
 
 /// A parsed ELF64 file: header, named sections, and symbol tables.
+///
+/// A view of the bytes it was parsed from: section contents and (valid
+/// UTF-8) names borrow them, so parsing allocates only the section and
+/// symbol lists.
 #[derive(Debug, Clone)]
-pub struct ElfFile {
+pub struct ElfFile<'a> {
     header: ElfHeader,
-    sections: Vec<Section>,
-    symbols: Vec<Symbol>,
-    dynamic_symbols: Vec<Symbol>,
+    sections: Vec<Section<'a>>,
+    symbols: Vec<Symbol<'a>>,
+    dynamic_symbols: Vec<Symbol<'a>>,
 }
 
-impl ElfFile {
+impl<'a> ElfFile<'a> {
     /// Parse an ELF64 little-endian file from `data`.
     ///
-    /// Section contents are copied out of `data` so the returned value owns
-    /// everything it needs.
-    pub fn parse(data: &[u8]) -> Result<Self, BinaryError> {
+    /// Every offset and size the file declares is checked against `data`
+    /// without overflow, so a hostile file yields a [`BinaryError`], never a
+    /// panic.
+    pub fn parse(data: &'a [u8]) -> Result<Self, BinaryError> {
         let header = ElfHeader::parse(data)?;
 
-        let mut sections = Vec::with_capacity(header.e_shnum as usize);
-        for i in 0..header.e_shnum as usize {
-            let off = header.e_shoff as usize + i * SHDR_SIZE;
+        let shoff = usize::try_from(header.e_shoff).unwrap_or(usize::MAX);
+        let room = data.len().saturating_sub(shoff) / SHDR_SIZE;
+        let mut sections = Vec::with_capacity(usize::from(header.e_shnum).min(room));
+        for i in 0..usize::from(header.e_shnum) {
+            let off = shoff.saturating_add(i * SHDR_SIZE);
             sections.push(Section::parse(data, off, i)?);
         }
 
         // Resolve section names through the section-header string table.
         if header.e_shnum > 0 {
-            let idx = header.e_shstrndx as usize;
-            if idx >= sections.len() {
-                return Err(BinaryError::BadShStrNdx(header.e_shstrndx));
-            }
-            let shstrtab = sections[idx].data.clone();
+            let shstrtab = sections
+                .get(usize::from(header.e_shstrndx))
+                .ok_or(BinaryError::BadShStrNdx(header.e_shstrndx))?
+                .data;
+            let shstrtab = StringTable::new(shstrtab);
             for sec in &mut sections {
-                sec.name = string_at(&shstrtab, sec.name_offset as usize).unwrap_or_default();
+                sec.name = shstrtab.get(sec.name_offset as usize).unwrap_or_default();
             }
         }
 
@@ -52,19 +59,20 @@ impl ElfFile {
         })
     }
 
-    fn load_symbols(sections: &[Section], table_type: u32) -> Result<Vec<Symbol>, BinaryError> {
+    fn load_symbols(
+        sections: &[Section<'a>],
+        table_type: u32,
+    ) -> Result<Vec<Symbol<'a>>, BinaryError> {
         let mut out = Vec::new();
         for sec in sections.iter().filter(|s| s.sh_type == table_type) {
             if sec.entsize != 0 && sec.entsize != SYM_SIZE as u64 {
                 return Err(BinaryError::BadSymbolEntrySize(sec.entsize));
             }
-            let strtab = sections
-                .get(sec.link as usize)
-                .map(|s| s.data.as_slice())
-                .unwrap_or(&[]);
+            let strtab = StringTable::new(sections.get(sec.link as usize).map_or(&[], |s| s.data));
             let count = sec.data.len() / SYM_SIZE;
+            out.reserve(count);
             for i in 0..count {
-                out.push(Symbol::parse(&sec.data, i * SYM_SIZE, strtab)?);
+                out.push(Symbol::parse(sec.data, i * SYM_SIZE, &strtab)?);
             }
         }
         Ok(out)
@@ -76,22 +84,22 @@ impl ElfFile {
     }
 
     /// All sections, in header-table order (index 0 is the null section).
-    pub fn sections(&self) -> &[Section] {
+    pub fn sections(&self) -> &[Section<'a>] {
         &self.sections
     }
 
     /// Find a section by exact name.
-    pub fn section_by_name(&self, name: &str) -> Option<&Section> {
+    pub fn section_by_name(&self, name: &str) -> Option<&Section<'a>> {
         self.sections.iter().find(|s| s.name == name)
     }
 
     /// Symbols from `.symtab` (empty for stripped binaries).
-    pub fn symbols(&self) -> &[Symbol] {
+    pub fn symbols(&self) -> &[Symbol<'a>] {
         &self.symbols
     }
 
     /// Symbols from `.dynsym`.
-    pub fn dynamic_symbols(&self) -> &[Symbol] {
+    pub fn dynamic_symbols(&self) -> &[Symbol<'a>] {
         &self.dynamic_symbols
     }
 
@@ -147,8 +155,9 @@ mod tests {
 
     #[test]
     fn section_names_resolved() {
-        let elf = ElfFile::parse(&sample_elf()).unwrap();
-        let names: Vec<&str> = elf.sections().iter().map(|s| s.name.as_str()).collect();
+        let bytes = sample_elf();
+        let elf = ElfFile::parse(&bytes).unwrap();
+        let names: Vec<&str> = elf.sections().iter().map(|s| &*s.name).collect();
         assert!(names.contains(&".text"));
         assert!(names.contains(&".shstrtab"));
         assert!(names.contains(&".strtab"));
@@ -156,7 +165,8 @@ mod tests {
 
     #[test]
     fn symbol_contents_roundtrip() {
-        let elf = ElfFile::parse(&sample_elf()).unwrap();
+        let bytes = sample_elf();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let main_loop = elf
             .symbols()
             .iter()
@@ -193,20 +203,23 @@ mod tests {
     fn empty_symbols_when_none_added() {
         let mut b = ElfBuilder::new();
         b.add_text_section(vec![0xC3; 16]);
-        let elf = ElfFile::parse(&b.build()).unwrap();
+        let bytes = b.build();
+        let elf = ElfFile::parse(&bytes).unwrap();
         // Only the null symbol entry exists.
         assert_eq!(elf.symbols().len(), 1);
     }
 
     #[test]
     fn total_section_bytes_counts_contents() {
-        let elf = ElfFile::parse(&sample_elf()).unwrap();
+        let bytes = sample_elf();
+        let elf = ElfFile::parse(&bytes).unwrap();
         assert!(elf.total_section_bytes() >= 256 + 29 + 8);
     }
 
     #[test]
     fn section_is_executable_by_index() {
-        let elf = ElfFile::parse(&sample_elf()).unwrap();
+        let bytes = sample_elf();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let text_idx = elf
             .sections()
             .iter()

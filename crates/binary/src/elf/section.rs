@@ -1,13 +1,15 @@
-//! Section headers and loaded section contents.
+//! Section headers and the section contents they point at.
 
 use super::types::*;
 use crate::error::BinaryError;
+use std::borrow::Cow;
 
-/// A section header plus (for sections that occupy file space) its bytes.
+/// A section header plus (for sections that occupy file space) its bytes,
+/// borrowed from the file it was parsed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Section {
+pub struct Section<'a> {
     /// Section name resolved through the section-header string table.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Raw offset of the name within `.shstrtab`.
     pub name_offset: u32,
     /// Section type (`SHT_PROGBITS`, `SHT_SYMTAB`, ...).
@@ -29,17 +31,18 @@ pub struct Section {
     /// Entry size for table-like sections.
     pub entsize: u64,
     /// The section's bytes (empty for `SHT_NOBITS` and the null section).
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-impl Section {
-    /// Parse the section header at `shdr_offset` and load its contents from
-    /// `file`. `index` is used for error reporting.
-    pub fn parse(file: &[u8], shdr_offset: usize, index: usize) -> Result<Self, BinaryError> {
-        if file.len() < shdr_offset + SHDR_SIZE {
+impl<'a> Section<'a> {
+    /// Parse the section header at `shdr_offset` and borrow its contents
+    /// from `file`. `index` is used for error reporting.
+    pub fn parse(file: &'a [u8], shdr_offset: usize, index: usize) -> Result<Self, BinaryError> {
+        let needed = shdr_offset.saturating_add(SHDR_SIZE);
+        if file.len() < needed {
             return Err(BinaryError::Truncated {
                 context: "section header",
-                needed: shdr_offset + SHDR_SIZE,
+                needed,
                 available: file.len(),
             });
         }
@@ -55,20 +58,17 @@ impl Section {
         let entsize = read_u64(file, shdr_offset + 56);
 
         let data = if sh_type == SHT_NOBITS || sh_type == SHT_NULL || size == 0 {
-            Vec::new()
+            &[]
         } else {
-            let start = offset as usize;
-            let end = start
-                .checked_add(size as usize)
-                .ok_or(BinaryError::SectionOutOfBounds { index })?;
-            if end > file.len() {
-                return Err(BinaryError::SectionOutOfBounds { index });
-            }
-            file[start..end].to_vec()
+            usize::try_from(offset)
+                .ok()
+                .zip(usize::try_from(size).ok())
+                .and_then(|(start, size)| file.get(start..start.checked_add(size)?))
+                .ok_or(BinaryError::SectionOutOfBounds { index })?
         };
 
         Ok(Self {
-            name: String::new(),
+            name: Cow::Borrowed(""),
             name_offset,
             sh_type,
             flags,
@@ -116,17 +116,40 @@ impl Section {
     }
 }
 
-/// Resolve a NUL-terminated name at `offset` inside a string table section.
-pub fn string_at(strtab: &[u8], offset: usize) -> Result<String, BinaryError> {
-    if offset >= strtab.len() {
-        return Err(BinaryError::BadStringOffset(offset));
+/// A string table section: NUL-terminated names looked up by offset.
+///
+/// The table is checked for UTF-8 once, so a name of a valid table is a
+/// borrowed slice of it with no check of its own. A name of an invalid
+/// table goes through `String::from_utf8_lossy`, which borrows it if it is
+/// valid and replaces each invalid sequence with U+FFFD otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct StringTable<'a> {
+    bytes: &'a [u8],
+    text: Option<&'a str>,
+}
+
+impl<'a> StringTable<'a> {
+    /// View `bytes` as a string table.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            text: std::str::from_utf8(bytes).ok(),
+        }
     }
-    let end = strtab[offset..]
-        .iter()
-        .position(|&b| b == 0)
-        .map(|p| offset + p)
-        .unwrap_or(strtab.len());
-    Ok(String::from_utf8_lossy(&strtab[offset..end]).into_owned())
+
+    /// The name at `offset`, up to the next NUL or the end of the table.
+    pub fn get(&self, offset: usize) -> Result<Cow<'a, str>, BinaryError> {
+        let tail = self
+            .bytes
+            .get(offset..)
+            .filter(|tail| !tail.is_empty())
+            .ok_or(BinaryError::BadStringOffset(offset))?;
+        let end = offset + tail.iter().position(|&b| b == 0).unwrap_or(tail.len());
+        Ok(match self.text.and_then(|text| text.get(offset..end)) {
+            Some(name) => Cow::Borrowed(name),
+            None => String::from_utf8_lossy(&self.bytes[offset..end]),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -136,7 +159,7 @@ mod tests {
     #[test]
     fn header_roundtrip_through_parse() {
         let sec = Section {
-            name: String::new(),
+            name: Cow::Borrowed(""),
             name_offset: 17,
             sh_type: SHT_PROGBITS,
             flags: SHF_ALLOC | SHF_EXECINSTR,
@@ -147,7 +170,7 @@ mod tests {
             info: 0,
             addralign: 16,
             entsize: 0,
-            data: Vec::new(),
+            data: &[],
         };
         let mut file = vec![0u8; SHDR_SIZE];
         file.copy_from_slice(&sec.header_bytes());
@@ -162,7 +185,7 @@ mod tests {
     #[test]
     fn out_of_bounds_contents_rejected() {
         let sec = Section {
-            name: String::new(),
+            name: Cow::Borrowed(""),
             name_offset: 0,
             sh_type: SHT_PROGBITS,
             flags: 0,
@@ -173,7 +196,7 @@ mod tests {
             info: 0,
             addralign: 1,
             entsize: 0,
-            data: Vec::new(),
+            data: &[],
         };
         let mut file = vec![0u8; SHDR_SIZE];
         file.copy_from_slice(&sec.header_bytes());
@@ -188,24 +211,36 @@ mod tests {
     }
 
     #[test]
-    fn string_at_reads_nul_terminated() {
-        let tab = b"\0.text\0.data\0";
-        assert_eq!(string_at(tab, 1).unwrap(), ".text");
-        assert_eq!(string_at(tab, 7).unwrap(), ".data");
-        assert_eq!(string_at(tab, 0).unwrap(), "");
-        assert!(string_at(tab, 100).is_err());
+    fn string_table_reads_nul_terminated() {
+        let tab = StringTable::new(b"\0.text\0.data\0");
+        assert_eq!(tab.get(1).unwrap(), ".text");
+        assert_eq!(tab.get(7).unwrap(), ".data");
+        assert_eq!(tab.get(0).unwrap(), "");
+        assert_eq!(tab.get(15), Err(BinaryError::BadStringOffset(15)));
+        assert!(tab.get(100).is_err());
     }
 
     #[test]
-    fn string_at_unterminated_tail() {
-        let tab = b"abc";
-        assert_eq!(string_at(tab, 0).unwrap(), "abc");
+    fn string_table_unterminated_tail() {
+        assert_eq!(StringTable::new(b"abc").get(0).unwrap(), "abc");
+    }
+
+    #[test]
+    fn string_table_invalid_utf8_is_replaced() {
+        // A valid table entered mid-character, and an invalid table.
+        let valid = "\0caf\u{e9}\0".as_bytes();
+        let table = StringTable::new(valid);
+        assert!(matches!(table.get(1).unwrap(), Cow::Borrowed("caf\u{e9}")));
+        assert_eq!(table.get(5).unwrap(), "\u{fffd}");
+        let table = StringTable::new(b"ok\0b\xffd\0");
+        assert!(matches!(table.get(0).unwrap(), Cow::Borrowed("ok")));
+        assert_eq!(table.get(3).unwrap(), "b\u{fffd}d");
     }
 
     #[test]
     fn classification_helpers() {
         let mut s = Section {
-            name: ".bss".into(),
+            name: Cow::Borrowed(".bss"),
             name_offset: 0,
             sh_type: SHT_NOBITS,
             flags: SHF_ALLOC | SHF_WRITE,
@@ -216,7 +251,7 @@ mod tests {
             info: 0,
             addralign: 8,
             entsize: 0,
-            data: Vec::new(),
+            data: &[],
         };
         assert!(s.is_bss());
         assert!(!s.is_writable_data());

@@ -22,16 +22,16 @@ pub fn strip_symbols(data: &[u8]) -> Result<Vec<u8>, BinaryError> {
     let mut builder = ElfBuilder::new();
     builder.set_file_type(elf.header().e_type);
     if let Some(text) = elf.section_by_name(".text") {
-        builder.add_text_section(text.data.clone());
+        builder.add_text_section(text.data.to_vec());
     }
     if let Some(rodata) = elf.section_by_name(".rodata") {
-        builder.add_rodata_section(rodata.data.clone());
+        builder.add_rodata_section(rodata.data.to_vec());
     }
     if let Some(d) = elf.section_by_name(".data") {
-        builder.add_data_section(d.data.clone());
+        builder.add_data_section(d.data.to_vec());
     }
     if let Some(c) = elf.section_by_name(".comment") {
-        builder.add_comment_section(c.data.clone());
+        builder.add_comment_section(c.data.to_vec());
     }
     // No symbols are added: the rebuilt file's .symtab holds only the null
     // entry, which ElfFile::has_symbol_table / the feature extractor treat as

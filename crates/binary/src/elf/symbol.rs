@@ -1,7 +1,9 @@
 //! Symbol table entries.
 
+use super::section::StringTable;
 use super::types::*;
 use crate::error::BinaryError;
+use std::borrow::Cow;
 
 /// Binding of a symbol (who can see it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,9 +85,10 @@ impl SymbolType {
 
 /// One parsed symbol-table entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Symbol {
-    /// Symbol name resolved through the linked string table.
-    pub name: String,
+pub struct Symbol<'a> {
+    /// Symbol name resolved through the linked string table, borrowed from
+    /// it unless the name is not valid UTF-8.
+    pub name: Cow<'a, str>,
     /// Symbol value (usually a virtual address).
     pub value: u64,
     /// Size in bytes (0 if unknown).
@@ -99,7 +102,7 @@ pub struct Symbol {
     pub shndx: u16,
 }
 
-impl Symbol {
+impl<'a> Symbol<'a> {
     /// Whether the symbol is defined in this file (not an undefined import).
     pub fn is_defined(&self) -> bool {
         self.shndx != SHN_UNDEF
@@ -112,11 +115,16 @@ impl Symbol {
 
     /// Parse one 24-byte ELF64 symbol entry at `offset` of `symtab_data`,
     /// resolving the name in `strtab`.
-    pub fn parse(symtab_data: &[u8], offset: usize, strtab: &[u8]) -> Result<Self, BinaryError> {
-        if symtab_data.len() < offset + SYM_SIZE {
+    pub fn parse(
+        symtab_data: &[u8],
+        offset: usize,
+        strtab: &StringTable<'a>,
+    ) -> Result<Self, BinaryError> {
+        let needed = offset.saturating_add(SYM_SIZE);
+        if symtab_data.len() < needed {
             return Err(BinaryError::Truncated {
                 context: "symbol entry",
-                needed: offset + SYM_SIZE,
+                needed,
                 available: symtab_data.len(),
             });
         }
@@ -125,7 +133,7 @@ impl Symbol {
         let shndx = read_u16(symtab_data, offset + 6);
         let value = read_u64(symtab_data, offset + 8);
         let size = read_u64(symtab_data, offset + 16);
-        let name = super::section::string_at(strtab, name_off).unwrap_or_default();
+        let name = strtab.get(name_off).unwrap_or_default();
         Ok(Self {
             name,
             value,
@@ -184,7 +192,7 @@ mod tests {
     fn symbol_roundtrip() {
         let strtab = b"\0compute_forces\0";
         let sym = Symbol {
-            name: "compute_forces".to_string(),
+            name: Cow::Borrowed("compute_forces"),
             value: 0x40_2000,
             size: 128,
             binding: SymbolBinding::Global,
@@ -192,7 +200,7 @@ mod tests {
             shndx: 2,
         };
         let bytes = sym.to_bytes(1);
-        let parsed = Symbol::parse(&bytes, 0, strtab).unwrap();
+        let parsed = Symbol::parse(&bytes, 0, &StringTable::new(strtab)).unwrap();
         assert_eq!(parsed, sym);
         assert!(parsed.is_defined());
         assert!(parsed.is_global());
@@ -201,7 +209,7 @@ mod tests {
     #[test]
     fn undefined_symbol_detected() {
         let sym = Symbol {
-            name: "malloc".to_string(),
+            name: Cow::Borrowed("malloc"),
             value: 0,
             size: 0,
             binding: SymbolBinding::Global,
@@ -214,7 +222,7 @@ mod tests {
     #[test]
     fn truncated_symbol_rejected() {
         assert!(matches!(
-            Symbol::parse(&[0u8; 10], 0, b"\0"),
+            Symbol::parse(&[0u8; 10], 0, &StringTable::new(b"\0")),
             Err(BinaryError::Truncated { .. })
         ));
     }
@@ -222,7 +230,7 @@ mod tests {
     #[test]
     fn bad_name_offset_yields_empty_name() {
         let sym = Symbol {
-            name: String::new(),
+            name: Cow::Borrowed(""),
             value: 0,
             size: 0,
             binding: SymbolBinding::Local,
@@ -230,7 +238,7 @@ mod tests {
             shndx: 1,
         };
         let bytes = sym.to_bytes(999);
-        let parsed = Symbol::parse(&bytes, 0, b"\0short\0").unwrap();
+        let parsed = Symbol::parse(&bytes, 0, &StringTable::new(b"\0short\0")).unwrap();
         assert_eq!(parsed.name, "");
     }
 }

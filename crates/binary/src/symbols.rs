@@ -61,21 +61,24 @@ pub fn global_defined_symbols(elf: &ElfFile) -> Vec<NmSymbol> {
     let mut out: Vec<NmSymbol> = elf
         .symbols()
         .iter()
-        .filter(|s| {
-            s.is_defined()
-                && s.is_global()
-                && !s.name.is_empty()
-                && s.sym_type != SymbolType::Section
-                && s.sym_type != SymbolType::File
-        })
+        .filter(|s| is_listed(s))
         .map(|s| NmSymbol {
-            name: s.name.clone(),
+            name: s.name.to_string(),
             class: symbol_class(elf, s),
             value: s.value,
         })
         .collect();
     out.sort_by(|a, b| a.name.cmp(&b.name));
     out
+}
+
+/// Whether `nm -g --defined-only` lists `sym`.
+fn is_listed(sym: &Symbol) -> bool {
+    sym.is_defined()
+        && sym.is_global()
+        && !sym.name.is_empty()
+        && sym.sym_type != SymbolType::Section
+        && sym.sym_type != SymbolType::File
 }
 
 /// Only the *text* (code) symbols among the defined globals — functions the
@@ -91,10 +94,20 @@ pub fn global_text_symbols(elf: &ElfFile) -> Vec<NmSymbol> {
 /// The newline-joined global symbol names — the byte stream the
 /// `ssdeep-symbols` feature hashes (equivalent to
 /// `nm -g --defined-only binary | awk '{print $3}' | ssdeep`).
+///
+/// The same names, in the same order, as [`global_defined_symbols`], but
+/// sorted as borrowed names and written into one exactly-sized buffer.
 pub fn symbols_blob(elf: &ElfFile) -> Vec<u8> {
-    let mut out = Vec::new();
-    for s in global_defined_symbols(elf) {
-        out.extend_from_slice(s.name.as_bytes());
+    let mut names: Vec<&str> = elf
+        .symbols()
+        .iter()
+        .filter(|s| is_listed(s))
+        .map(|s| &*s.name)
+        .collect();
+    names.sort_unstable();
+    let mut out = Vec::with_capacity(names.iter().map(|n| n.len() + 1).sum());
+    for name in names {
+        out.extend_from_slice(name.as_bytes());
         out.push(b'\n');
     }
     out
@@ -105,7 +118,7 @@ mod tests {
     use super::*;
     use crate::elf::ElfBuilder;
 
-    fn sample() -> ElfFile {
+    fn sample() -> Vec<u8> {
         let mut b = ElfBuilder::new();
         b.add_text_section(vec![0x90; 256]);
         b.add_data_section(vec![0u8; 64]);
@@ -114,12 +127,13 @@ mod tests {
         b.add_global_object("global_config", 0x0, 16);
         b.add_local_function("static_helper", 0x40, 16);
         b.add_undefined_symbol("MPI_Send");
-        ElfFile::parse(&b.build()).unwrap()
+        b.build()
     }
 
     #[test]
     fn globals_are_sorted_by_name() {
-        let elf = sample();
+        let bytes = sample();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let names: Vec<String> = global_defined_symbols(&elf)
             .into_iter()
             .map(|s| s.name)
@@ -129,7 +143,8 @@ mod tests {
 
     #[test]
     fn undefined_and_local_symbols_excluded() {
-        let elf = sample();
+        let bytes = sample();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let names: Vec<String> = global_defined_symbols(&elf)
             .into_iter()
             .map(|s| s.name)
@@ -140,7 +155,8 @@ mod tests {
 
     #[test]
     fn classes_match_nm_semantics() {
-        let elf = sample();
+        let bytes = sample();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let syms = global_defined_symbols(&elf);
         let class_of = |n: &str| syms.iter().find(|s| s.name == n).unwrap().class;
         assert_eq!(class_of("alpha_init"), 'T');
@@ -150,14 +166,16 @@ mod tests {
 
     #[test]
     fn undefined_symbol_class_is_u() {
-        let elf = sample();
+        let bytes = sample();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let mpi = elf.symbols().iter().find(|s| s.name == "MPI_Send").unwrap();
         assert_eq!(symbol_class(&elf, mpi), 'U');
     }
 
     #[test]
     fn local_symbol_class_is_lowercase() {
-        let elf = sample();
+        let bytes = sample();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let helper = elf
             .symbols()
             .iter()
@@ -168,7 +186,8 @@ mod tests {
 
     #[test]
     fn text_symbols_only_contains_functions_in_text() {
-        let elf = sample();
+        let bytes = sample();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let names: Vec<String> = global_text_symbols(&elf)
             .into_iter()
             .map(|s| s.name)
@@ -178,7 +197,8 @@ mod tests {
 
     #[test]
     fn blob_is_newline_joined_sorted_names() {
-        let elf = sample();
+        let bytes = sample();
+        let elf = ElfFile::parse(&bytes).unwrap();
         let blob = String::from_utf8(symbols_blob(&elf)).unwrap();
         assert_eq!(blob, "alpha_init\nglobal_config\nzeta_solver\n");
     }
@@ -187,7 +207,8 @@ mod tests {
     fn stripped_binary_has_empty_blob() {
         let mut b = ElfBuilder::new();
         b.add_text_section(vec![0xC3; 32]);
-        let elf = ElfFile::parse(&b.build()).unwrap();
+        let bytes = b.build();
+        let elf = ElfFile::parse(&bytes).unwrap();
         assert!(symbols_blob(&elf).is_empty());
         assert!(global_defined_symbols(&elf).is_empty());
     }

@@ -596,8 +596,10 @@ mod tests {
                     && s.version_index != a.version_index
             })
             .expect("every class has >= 3 versions");
-        let elf_a = ElfFile::parse(&corpus.generate_bytes(a)).unwrap();
-        let elf_b = ElfFile::parse(&corpus.generate_bytes(b)).unwrap();
+        let bytes_a = corpus.generate_bytes(a);
+        let elf_a = ElfFile::parse(&bytes_a).unwrap();
+        let bytes_b = corpus.generate_bytes(b);
+        let elf_b = ElfFile::parse(&bytes_b).unwrap();
         let ha = fuzzy_hash_bytes(&binary::symbols::symbols_blob(&elf_a));
         let hb = fuzzy_hash_bytes(&binary::symbols::symbols_blob(&elf_b));
         let score = compare(&ha, &hb);

@@ -160,8 +160,7 @@ impl RandomForest {
     pub fn predict_proba(&self, sample: &[f64]) -> Vec<f64> {
         let mut acc = vec![0.0; self.n_classes];
         for tree in &self.trees {
-            let p = tree.predict_proba(sample);
-            for (a, v) in acc.iter_mut().zip(&p) {
+            for (a, v) in acc.iter_mut().zip(tree.leaf_proba(sample)) {
                 *a += v;
             }
         }

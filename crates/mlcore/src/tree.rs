@@ -338,11 +338,17 @@ impl DecisionTree {
 
     /// Class-probability estimate for one sample.
     pub fn predict_proba(&self, sample: &[f64]) -> Vec<f64> {
+        self.leaf_proba(sample).to_vec()
+    }
+
+    /// The class-probability estimate for one sample, borrowed from the
+    /// leaf the sample reaches.
+    pub fn leaf_proba(&self, sample: &[f64]) -> &[f64] {
         debug_assert_eq!(sample.len(), self.n_features);
         let mut node = 0usize;
         loop {
             match &self.nodes[node] {
-                Node::Leaf { proba } => return proba.clone(),
+                Node::Leaf { proba } => return proba,
                 Node::Split {
                     feature,
                     threshold,
@@ -361,7 +367,7 @@ impl DecisionTree {
 
     /// Predicted class index for one sample.
     pub fn predict(&self, sample: &[f64]) -> usize {
-        argmax(&self.predict_proba(sample))
+        argmax(self.leaf_proba(sample))
     }
 
     /// Number of nodes in the tree (splits + leaves).

@@ -113,7 +113,8 @@ fn duplicate_install_classes_share_symbols() {
             .expect("class exists")
     };
     let symbol_set = |spec: &corpus::SampleSpec| -> std::collections::HashSet<String> {
-        let elf = ElfFile::parse(&corpus.generate_bytes(spec)).unwrap();
+        let bytes = corpus.generate_bytes(spec);
+        let elf = ElfFile::parse(&bytes).unwrap();
         global_defined_symbols(&elf)
             .into_iter()
             .map(|s| s.name)
