@@ -377,7 +377,7 @@ fn bench_classify_batch(c: &mut Criterion) {
     let front = {
         let gw = Gateway::connect(
             reference.clone(),
-            &loopback_partitioned(&trained, 2),
+            FleetTopology::replica_less(loopback_partitioned(&trained, 2)),
             GatewayOptions::default(),
         )
         .expect("gateway connects its fleet");

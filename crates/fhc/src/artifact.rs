@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! u64  magic          "FHCLSART" as little-endian bytes
-//! u32  format version (currently 2)
+//! u32  format version (currently 3)
 //! u32+bytes  payload  (length-prefixed)
 //! u64  FNV-1a checksum of the payload
 //! ```
@@ -28,21 +28,20 @@
 //! the structural invariants of the prepared state (lengths, key counts,
 //! sortedness); semantic integrity rests on the checksum like every other
 //! field, and debug builds (hence the test suite) fully verify the state
-//! derives from the hashes. Version-1 artifacts (original signatures only)
-//! still load — the prepared index is rebuilt from the hashes at load time.
+//! derives from the hashes.
 //!
 //! **Version 3** changes only how the window keys are stored: the sorted
 //! `u64` key sets are delta-encoded as varints
 //! ([`hpcutil::ByteWriter::put_u64_delta_seq`]) instead of 8 raw bytes per
 //! key, shrinking the dominant component of the prepared index to roughly
-//! the entropy of the key gaps. Version-2 artifacts (raw key sequences)
-//! still load, and re-saving upgrades them to version 3 byte-identically.
-//! The same prepared encoding carries queries on the shard-serving wire
-//! (see [`crate::shardnet::wire`]).
+//! the entropy of the key gaps. It is the only version this build reads:
+//! nothing has written versions 1 and 2 since version 3 shipped, and they
+//! are refused as unsupported. The same prepared encoding carries queries
+//! on the shard-serving wire (see [`crate::shardnet::wire`]).
 
 use crate::config::FhcConfig;
 use crate::error::FhcError;
-use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
+use crate::features::{FeatureKind, PreparedSampleFeatures};
 use crate::serving::{ServingConfig, TrainedClassifier};
 use crate::similarity::ReferenceSet;
 use crate::threshold::ThresholdPoint;
@@ -61,7 +60,7 @@ const MAGIC: u64 = u64::from_le_bytes(*b"FHCLSART");
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Oldest artifact format version this build still reads.
-pub const MIN_SUPPORTED_VERSION: u32 = 1;
+pub const MIN_SUPPORTED_VERSION: u32 = 3;
 
 fn encode_kind(kind: FeatureKind) -> u8 {
     match kind {
@@ -90,24 +89,8 @@ fn decode_hash(r: &mut ByteReader<'_>) -> Result<FuzzyHash, CodecError> {
         .map_err(|e| CodecError::new(format!("invalid fuzzy hash {text:?}: {e}")))
 }
 
-fn decode_features(r: &mut ByteReader<'_>) -> Result<SampleFeatures, CodecError> {
-    let file = decode_hash(r)?;
-    let strings = decode_hash(r)?;
-    let symbols = if r.get_bool()? {
-        Some(decode_hash(r)?)
-    } else {
-        None
-    };
-    Ok(SampleFeatures {
-        file,
-        strings,
-        symbols,
-    })
-}
-
 /// One prepared hash = the original hash plus its precomputed comparison
-/// state (run-eliminated signatures + sorted window keys). Version 3
-/// delta-encodes the sorted keys; version 2 stored them raw.
+/// state (run-eliminated signatures + delta-encoded sorted window keys).
 fn encode_prepared_hash(w: &mut ByteWriter, prepared: &PreparedHash) {
     encode_hash(w, prepared.hash());
     w.put_str(prepared.primary().eliminated());
@@ -116,25 +99,17 @@ fn encode_prepared_hash(w: &mut ByteWriter, prepared: &PreparedHash) {
     w.put_u64_delta_seq(prepared.double().keys());
 }
 
-fn decode_keys(r: &mut ByteReader<'_>, version: u32) -> Result<Vec<u64>, CodecError> {
-    if version >= 3 {
-        r.get_u64_delta_seq()
-    } else {
-        r.get_u64_seq()
-    }
-}
-
-fn decode_prepared_hash(r: &mut ByteReader<'_>, version: u32) -> Result<PreparedHash, CodecError> {
+fn decode_prepared_hash(r: &mut ByteReader<'_>) -> Result<PreparedHash, CodecError> {
     let hash = decode_hash(r)?;
     let eliminated = r.get_str()?;
-    let keys = decode_keys(r, version)?;
+    let keys = r.get_u64_delta_seq()?;
     let eliminated_double = r.get_str()?;
-    let keys_double = decode_keys(r, version)?;
+    let keys_double = r.get_u64_delta_seq()?;
     PreparedHash::from_precomputed(hash, eliminated, keys, eliminated_double, keys_double)
         .map_err(CodecError::new)
 }
 
-/// Encode prepared sample features in the current (version-3) layout. Also
+/// Encode prepared sample features in the version-3 layout. Also
 /// the on-wire form of a shard-serving score request
 /// ([`crate::shardnet::wire`]).
 pub(crate) fn encode_prepared_features(w: &mut ByteWriter, features: &PreparedSampleFeatures) {
@@ -149,15 +124,15 @@ pub(crate) fn encode_prepared_features(w: &mut ByteWriter, features: &PreparedSa
     }
 }
 
-/// Decode prepared sample features as laid out by artifact `version`.
+/// Decode prepared sample features as laid out by
+/// [`encode_prepared_features`].
 pub(crate) fn decode_prepared_features(
     r: &mut ByteReader<'_>,
-    version: u32,
 ) -> Result<PreparedSampleFeatures, CodecError> {
-    let file = decode_prepared_hash(r, version)?;
-    let strings = decode_prepared_hash(r, version)?;
+    let file = decode_prepared_hash(r)?;
+    let strings = decode_prepared_hash(r)?;
     let symbols = if r.get_bool()? {
-        Some(decode_prepared_hash(r, version)?)
+        Some(decode_prepared_hash(r)?)
     } else {
         None
     };
@@ -203,7 +178,7 @@ fn encode_payload(classifier: &TrainedClassifier) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_payload(payload: &[u8], version: u32) -> Result<TrainedClassifier, CodecError> {
+fn decode_payload(payload: &[u8]) -> Result<TrainedClassifier, CodecError> {
     let mut r = ByteReader::new(payload);
     let seed = r.get_u64()?;
     let confidence_threshold = r.get_f64()?;
@@ -235,15 +210,9 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<TrainedClassifier, Cod
         }
         let mut prepared = Vec::with_capacity(n_samples);
         for _ in 0..n_samples {
-            if version >= 2 {
-                // v2+ persists the prepared index; decoding verifies it
-                // derives from the hashes (see PreparedHash::from_precomputed).
-                prepared.push(decode_prepared_features(&mut r, version)?);
-            } else {
-                // v1 stores only the original hashes; rebuild the prepared
-                // state at load time.
-                prepared.push(PreparedSampleFeatures::prepare(&decode_features(&mut r)?));
-            }
+            // Decoding verifies the persisted prepared index derives from
+            // the hashes (see PreparedHash::from_precomputed).
+            prepared.push(decode_prepared_features(&mut r)?);
         }
         prepared_by_class.push(prepared);
     }
@@ -336,7 +305,7 @@ impl TrainedClassifier {
                 "checksum mismatch (stored {checksum:#018x}, computed {actual:#018x}): artifact is corrupt"
             )));
         }
-        decode_payload(&payload, version).map_err(codec_err)
+        decode_payload(&payload).map_err(codec_err)
     }
 
     /// [`TrainedClassifier::from_bytes`], then apply the runtime layers of
@@ -612,7 +581,7 @@ fn decode_slice_payload(payload: &[u8]) -> Result<DecodedSlice, CodecError> {
         }
         let mut samples = Vec::with_capacity(n_samples);
         for _ in 0..n_samples {
-            samples.push(decode_prepared_features(&mut r, FORMAT_VERSION)?);
+            samples.push(decode_prepared_features(&mut r)?);
         }
         owned.push((class, samples));
     }
@@ -891,6 +860,7 @@ impl ArtifactDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::SampleFeatures;
     use crate::pipeline::{FuzzyHashClassifier, PipelineConfig};
     use corpus::{Catalog, CorpusBuilder};
 
@@ -1173,158 +1143,31 @@ mod tests {
         assert!(ArtifactDelta::decode(&bad_version).is_err());
     }
 
-    /// Re-encode a classifier in the retired version-1 layout (original
-    /// hashes only, no prepared index) to prove the compat path keeps
-    /// loading old artifacts.
-    fn encode_v1_bytes(classifier: &TrainedClassifier) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(classifier.seed);
-        w.put_f64(classifier.confidence_threshold);
-        let kinds = classifier.reference.kinds();
-        w.put_usize(kinds.len());
-        for &kind in kinds {
-            w.put_u8(encode_kind(kind));
-        }
-        let reference = &classifier.reference;
-        w.put_usize(reference.n_classes());
-        for class in 0..reference.n_classes() {
-            w.put_str(&reference.class_names()[class]);
-            let samples = reference.class_features(class);
-            w.put_usize(samples.len());
-            for features in samples {
-                encode_hash(&mut w, &features.file);
-                encode_hash(&mut w, &features.strings);
-                match &features.symbols {
-                    None => w.put_bool(false),
-                    Some(hash) => {
-                        w.put_bool(true);
-                        encode_hash(&mut w, hash);
-                    }
-                }
-            }
-        }
-        classifier.forest_params.encode(&mut w);
-        classifier.forest.encode(&mut w);
-        w.put_usize(classifier.threshold_curve.len());
-        for point in &classifier.threshold_curve {
-            w.put_f64(point.threshold);
-            w.put_f64(point.micro_f1);
-            w.put_f64(point.macro_f1);
-            w.put_f64(point.weighted_f1);
-        }
-        let payload = w.into_bytes();
-        let mut out = ByteWriter::new();
-        out.put_u64(MAGIC);
-        out.put_u32(1);
-        out.put_bytes(&payload);
-        out.put_u64(fnv1a64(&payload));
-        out.into_bytes()
-    }
-
-    #[test]
-    fn version_1_artifacts_still_load_and_predict_identically() {
-        let (corpus, original) = trained();
-        let v1_bytes = encode_v1_bytes(&original);
-        let restored = TrainedClassifier::from_bytes(&v1_bytes).expect("v1 artifact loads");
-
-        assert_eq!(restored.seed(), original.seed());
-        assert_eq!(restored.known_class_names(), original.known_class_names());
-        for spec in corpus.samples().iter().step_by(31) {
-            let bytes = corpus.generate_bytes(spec);
-            assert_eq!(restored.classify(&bytes), original.classify(&bytes));
-        }
-        // Re-saving a v1-loaded classifier upgrades it to the current format
-        // with an identical prepared index.
-        assert_eq!(restored.to_bytes(), original.to_bytes());
-    }
-
-    /// Re-encode a classifier in the retired version-2 layout (prepared
-    /// index with raw `u64` window-key sequences) to prove the compat path
-    /// keeps loading v2 artifacts.
-    fn encode_v2_bytes(classifier: &TrainedClassifier) -> Vec<u8> {
-        fn encode_prepared_hash_v2(w: &mut ByteWriter, prepared: &PreparedHash) {
-            encode_hash(w, prepared.hash());
-            w.put_str(prepared.primary().eliminated());
-            w.put_u64_seq(prepared.primary().keys());
-            w.put_str(prepared.double().eliminated());
-            w.put_u64_seq(prepared.double().keys());
-        }
-        let mut w = ByteWriter::new();
-        w.put_u64(classifier.seed);
-        w.put_f64(classifier.confidence_threshold);
-        let kinds = classifier.reference.kinds();
-        w.put_usize(kinds.len());
-        for &kind in kinds {
-            w.put_u8(encode_kind(kind));
-        }
-        let reference = &classifier.reference;
-        w.put_usize(reference.n_classes());
-        for class in 0..reference.n_classes() {
-            w.put_str(&reference.class_names()[class]);
-            let samples = reference.prepared_class_features(class);
-            w.put_usize(samples.len());
-            for features in samples {
-                encode_prepared_hash_v2(&mut w, &features.file);
-                encode_prepared_hash_v2(&mut w, &features.strings);
-                match &features.symbols {
-                    None => w.put_bool(false),
-                    Some(prepared) => {
-                        w.put_bool(true);
-                        encode_prepared_hash_v2(&mut w, prepared);
-                    }
-                }
-            }
-        }
-        classifier.forest_params.encode(&mut w);
-        classifier.forest.encode(&mut w);
-        w.put_usize(classifier.threshold_curve.len());
-        for point in &classifier.threshold_curve {
-            w.put_f64(point.threshold);
-            w.put_f64(point.micro_f1);
-            w.put_f64(point.macro_f1);
-            w.put_f64(point.weighted_f1);
-        }
-        let payload = w.into_bytes();
-        let mut out = ByteWriter::new();
-        out.put_u64(MAGIC);
-        out.put_u32(2);
-        out.put_bytes(&payload);
-        out.put_u64(fnv1a64(&payload));
-        out.into_bytes()
-    }
-
-    #[test]
-    fn version_2_artifacts_still_load_and_resave_upgrades() {
-        let (corpus, original) = trained();
-        let v2_bytes = encode_v2_bytes(&original);
-        assert_eq!(v2_bytes[8], 2);
-        let restored = TrainedClassifier::from_bytes(&v2_bytes).expect("v2 artifact loads");
-
-        assert_eq!(restored.seed(), original.seed());
-        assert_eq!(restored.known_class_names(), original.known_class_names());
-        for spec in corpus.samples().iter().step_by(31) {
-            let bytes = corpus.generate_bytes(spec);
-            assert_eq!(restored.classify(&bytes), original.classify(&bytes));
-        }
-        // Round-trip equivalence: re-saving a v2-loaded classifier upgrades
-        // it to the current delta-encoded format byte-identically.
-        assert_eq!(restored.to_bytes(), original.to_bytes());
-        // And the delta encoding is why v3 exists: the same model, smaller.
-        assert!(
-            original.to_bytes().len() < v2_bytes.len(),
-            "v3 ({} bytes) must be smaller than v2 ({} bytes)",
-            original.to_bytes().len(),
-            v2_bytes.len()
-        );
-    }
-
     #[test]
     fn format_version_is_bumped_for_the_delta_keys() {
         assert_eq!(FORMAT_VERSION, 3);
-        assert_eq!(MIN_SUPPORTED_VERSION, 1);
+        assert_eq!(MIN_SUPPORTED_VERSION, 3);
         let (_, original) = trained();
         // Byte 8 of the container is the version field.
         assert_eq!(original.to_bytes()[8], 3);
+    }
+
+    #[test]
+    fn version_1_and_2_artifacts_are_refused_as_unsupported() {
+        let (_, original) = trained();
+        for retired in [1u8, 2] {
+            // The version field sits outside the checksummed payload, so
+            // only the version check can refuse these bytes.
+            let mut bytes = original.to_bytes();
+            bytes[8] = retired;
+            match TrainedClassifier::from_bytes(&bytes) {
+                Err(FhcError::Artifact(message)) => assert!(
+                    message.contains(&format!("unsupported artifact format version {retired}")),
+                    "got: {message}"
+                ),
+                other => panic!("version {retired} must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

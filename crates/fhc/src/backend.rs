@@ -46,7 +46,7 @@
 
 use crate::error::FhcError;
 use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
-use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology, StaleWorkers};
+use crate::shardnet::{Endpoint, FleetBackend, FleetTopology};
 use crate::similarity::ReferenceSet;
 use hpcutil::{par_map_indexed, ParallelConfig};
 use std::sync::Arc;
@@ -254,7 +254,8 @@ pub enum BackendConfig {
     /// self-healing fleet with replicas, hedged requests, and reference
     /// push. The `remote:` and `gateway:` specs are spellings of a fleet of
     /// replica-less shards that refuses, rather than re-seeds, a worker
-    /// holding another artifact ([`StaleWorkers::Refuse`]).
+    /// holding another artifact
+    /// ([`StaleWorkers::Refuse`](crate::shardnet::StaleWorkers::Refuse)).
     Fleet {
         /// The declared topology: shards and their replicas.
         topology: FleetTopology,
@@ -269,7 +270,7 @@ impl BackendConfig {
     /// tenant) — what the `remote:EP[,EP...]` spec parses to.
     pub fn remote(endpoints: impl IntoIterator<Item = Endpoint>) -> Self {
         BackendConfig::Fleet {
-            topology: replica_less(endpoints),
+            topology: FleetTopology::replica_less(endpoints),
             tenant: None,
         }
     }
@@ -343,7 +344,7 @@ impl std::str::FromStr for BackendConfig {
                 .map(|e| e.trim().parse::<Endpoint>())
                 .collect::<Result<Vec<_>, _>>()?;
             return Ok(BackendConfig::Fleet {
-                topology: replica_less(endpoints),
+                topology: FleetTopology::replica_less(endpoints),
                 tenant,
             });
         }
@@ -351,7 +352,7 @@ impl std::str::FromStr for BackendConfig {
             let (rest, tenant) = split_tenant(spec)?;
             let endpoint = rest.trim().parse::<Endpoint>()?;
             return Ok(BackendConfig::Fleet {
-                topology: replica_less([endpoint]),
+                topology: FleetTopology::replica_less([endpoint]),
                 tenant,
             });
         }
@@ -366,16 +367,6 @@ impl std::str::FromStr for BackendConfig {
              fleet:EP[;replica=EP[,EP...]][;EP...], \
              each optionally with ;tenant=NAME"
         ))
-    }
-}
-
-/// The topology a `remote:` or `gateway:` spec parses to: one solo shard
-/// per endpoint, in order, refusing a worker that holds another artifact
-/// as the dedicated clients these specs once named did.
-fn replica_less(endpoints: impl IntoIterator<Item = Endpoint>) -> FleetTopology {
-    FleetTopology {
-        stale: StaleWorkers::Refuse,
-        ..FleetTopology::new(endpoints.into_iter().map(FleetShard::solo).collect())
     }
 }
 
@@ -490,6 +481,7 @@ impl SimilarityBackend for AnyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shardnet::{FleetShard, StaleWorkers};
     use binary::elf::ElfBuilder;
     use std::net::TcpListener;
 

@@ -15,12 +15,15 @@
 //!     --workers unix:/run/fhc/shard0.sock,unix:/run/fhc/shard1.sock
 //! ```
 //!
-//! Every worker must serve the same artifact (fingerprint, geometry,
-//! protocol version) and advertise batch scoring, and their class
-//! partitions must cover every class exactly once — unpartitioned workers
-//! are assigned a round-robin partition over the wire. With `--listen`
-//! port `0` the chosen port is printed on the `listening on` line, so
-//! scripts (and the integration tests) can scrape it.
+//! `--workers EP[,EP...]` is a fleet of replica-less shards in the listed
+//! order, the shape a `remote:` backend spec parses to. Every worker must
+//! serve the same artifact (fingerprint, geometry, protocol version) and
+//! advertise batch scoring; the classes are dealt round-robin over the
+//! workers in that order (the partition `fhc-shardd --shard i/n` starts
+//! with) and assigned over the wire to any worker advertising another. A
+//! lost worker connection is re-dialed on the fleet's backoff schedule.
+//! With `--listen` port `0` the chosen port is printed on the `listening
+//! on` line, so scripts (and the integration tests) can scrape it.
 //!
 //! Batch sizing is **adaptive**: each shard's batcher grows its pack
 //! target while its queue keeps filling packs and shrinks it back when
@@ -30,7 +33,7 @@
 
 use fhc::serving::TrainedClassifier;
 use fhc::shardnet::gateway::{serve_tcp, serve_unix};
-use fhc::shardnet::{Endpoint, Gateway, GatewayOptions};
+use fhc::shardnet::{Endpoint, FleetTopology, Gateway, GatewayOptions};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::process::ExitCode;
@@ -189,7 +192,7 @@ fn main() -> ExitCode {
 
     let gateway = match Gateway::connect(
         reference,
-        &args.workers,
+        FleetTopology::replica_less(args.workers),
         GatewayOptions {
             max_batch: args.max_batch,
             tenant: args.tenant.clone(),

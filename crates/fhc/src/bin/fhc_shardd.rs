@@ -15,10 +15,13 @@
 //! ```
 //!
 //! `--shard i/n` serves shard `i` of the round-robin partition a fleet
-//! deals across its shards in order, so `remote:` over `--shard 0/n ..
-//! n-1/n` daemons listed in order needs no reassignment; `--classes` names
-//! explicit class ids; with neither, the daemon serves every class. A fleet
-//! client assigns its own partition over the wire either way. With
+//! deals across its shards in order, so `remote:` (or `fhc-gateway
+//! --workers`) over `--shard 0/n .. n-1/n` daemons listed in order needs
+//! no reassignment; `--classes` names explicit class ids; with neither, the
+//! daemon serves every class. Every client — a fleet backend or the
+//! gateway's shard side — assigns its own partition over the wire either
+//! way. Each connection is served by one loop,
+//! `TenantHost::serve_requests`. With
 //! `--listen` port `0` the chosen port is printed on the `listening on`
 //! line, so scripts (and the integration tests) can scrape it.
 //!
@@ -28,8 +31,8 @@
 //! its partition's samples in memory — the deployment mode for workers with
 //! no shared filesystem. Artifact-loaded daemons accept pushes too, which
 //! is how a `fleet:` client rolls a worker forward to a new artifact in
-//! place; `remote:` and `gateway:` clients refuse a daemon holding another
-//! artifact instead.
+//! place; `remote:` and `gateway:` clients, and `fhc-gateway`, refuse a
+//! daemon holding another artifact instead.
 //!
 //! **Multi-tenant serving**: `--tenant NAME=PATH` registers an extra
 //! artifact under the tenant id `NAME`, and `--tenant NAME` (no path)

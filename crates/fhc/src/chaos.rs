@@ -24,7 +24,9 @@ use crate::error::FhcError;
 use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
 use crate::shardnet::gateway::{self, Gateway, GatewayOptions};
 use crate::shardnet::worker::{self, ShardWorker, TenantHost};
-use crate::shardnet::{Endpoint, FleetBackend, FleetShard, FleetTopology, NetError, StaleWorkers};
+use crate::shardnet::{
+    BackoffPolicy, Endpoint, FleetBackend, FleetShard, FleetTopology, FleetTuning, NetError,
+};
 use crate::similarity::ReferenceSet;
 use hpcutil::failpoint;
 use hpcutil::SeedSequence;
@@ -224,15 +226,16 @@ impl Harness {
             FleetBackend::connect(Arc::clone(&reference), fleet_topology(&worker_endpoints))?;
         let gateway = Gateway::connect(
             Arc::clone(&reference),
-            &worker_endpoints,
+            remote_topology(&worker_endpoints),
             GatewayOptions::default(),
         )?;
         let front = spawn_gateway(gateway);
         // The `gateway:EP` shape: one shard owning every class.
-        let gateway = FleetBackend::connect(Arc::clone(&reference), solo_refusing(front))?;
+        let gateway =
+            FleetBackend::connect(Arc::clone(&reference), FleetTopology::replica_less([front]))?;
         let tenant = FleetBackend::connect_tenant(
             Arc::clone(&reference),
-            solo_refusing(tenant_endpoint.clone()),
+            FleetTopology::replica_less([tenant_endpoint.clone()]),
             Some("acme"),
         )?;
         let stacks: Vec<(&'static str, Box<dyn SimilarityBackend>)> = vec![
@@ -351,33 +354,39 @@ fn probe_bodies() -> Vec<&'static [u8]> {
 
 /// Tight fleet tunings so redial and hedge waits cost milliseconds, not
 /// the production defaults.
-const CHAOS_TUNING: &str = "hedge_ms=5,1,40;backoff_ms=2,50";
+const CHAOS_TUNING: FleetTuning = FleetTuning {
+    hedge_cold: Duration::from_millis(5),
+    hedge_min: Duration::from_millis(1),
+    hedge_max: Duration::from_millis(40),
+    backoff: BackoffPolicy {
+        base: Duration::from_millis(2),
+        cap: Duration::from_millis(50),
+    },
+};
 
 /// Both shards replicated on both workers: primaries crossed so hedging
 /// and failover have somewhere to go.
 fn fleet_topology(endpoints: &[Endpoint]) -> FleetTopology {
-    let spec = format!(
-        "{};replica={};{};replica={};{CHAOS_TUNING}",
-        endpoints[0], endpoints[1], endpoints[1], endpoints[0]
-    );
-    spec.parse().expect("the chaos fleet spec parses")
-}
-
-/// The `remote:` shape: one replica-less shard per worker, in order,
-/// refusing workers that hold another artifact.
-fn remote_topology(endpoints: &[Endpoint]) -> FleetTopology {
-    let spec = format!(
-        "{};{};{CHAOS_TUNING};stale=refuse",
-        endpoints[0], endpoints[1]
-    );
-    spec.parse().expect("the chaos remote spec parses")
-}
-
-/// The `gateway:EP` (or `remote:EP`) shape: one shard owning every class.
-fn solo_refusing(endpoint: Endpoint) -> FleetTopology {
+    let shard = |primary: &Endpoint, replica: &Endpoint| FleetShard {
+        primary: primary.clone(),
+        replicas: vec![replica.clone()],
+    };
     FleetTopology {
-        stale: StaleWorkers::Refuse,
-        ..FleetTopology::new(vec![FleetShard::solo(endpoint)])
+        tuning: CHAOS_TUNING,
+        ..FleetTopology::new(vec![
+            shard(&endpoints[0], &endpoints[1]),
+            shard(&endpoints[1], &endpoints[0]),
+        ])
+    }
+}
+
+/// The `remote:` shape — one replica-less shard per worker, in order,
+/// refusing workers that hold another artifact — that the remote stack
+/// dials and the gateway stack's gateway fronts.
+fn remote_topology(endpoints: &[Endpoint]) -> FleetTopology {
+    FleetTopology {
+        tuning: CHAOS_TUNING,
+        ..FleetTopology::replica_less(endpoints.iter().cloned())
     }
 }
 

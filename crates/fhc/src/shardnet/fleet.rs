@@ -54,9 +54,11 @@
 //!
 //! Scoring goes through [`FleetBackend`] on the calling thread: a query is
 //! fired at every shard before any reply is awaited, and the replies are
-//! polled in one loop. Its rows are byte-identical to every other
-//! backend: the winning node scores through the same prepared index, and
-//! `merge_partial_row` rejects any cell outside the member's partition.
+//! polled in one loop. The [`Gateway`](crate::shardnet::Gateway) drives
+//! the same start/poll path from one batcher thread per member. Rows are
+//! byte-identical to every other backend: the winning node scores through
+//! the same prepared index, and `merge_partial_row` rejects any cell
+//! outside the member's partition.
 
 use crate::artifact::ArtifactDelta;
 use crate::backend::{round_robin_partition, SimilarityBackend};
@@ -278,6 +280,16 @@ impl FleetTopology {
             shards,
             tuning: FleetTuning::default(),
             stale: StaleWorkers::default(),
+        }
+    }
+
+    /// One solo shard per endpoint, in order, refusing a worker that holds
+    /// another artifact ([`StaleWorkers::Refuse`]): what the `remote:` and
+    /// `gateway:` specs and `fhc-gateway --workers` parse to.
+    pub fn replica_less(endpoints: impl IntoIterator<Item = Endpoint>) -> Self {
+        Self {
+            stale: StaleWorkers::Refuse,
+            ..Self::new(endpoints.into_iter().map(FleetShard::solo).collect())
         }
     }
 }
@@ -746,15 +758,21 @@ impl FleetView {
         }
         let mut mux = node.mux.lock().unwrap_or_else(|p| p.into_inner());
         if mux.is_poisoned() {
-            match connect_node(
-                &self.reference,
-                &self.expect,
-                &node.endpoint,
-                &node.classes,
-                node.pushed.load(Ordering::Relaxed),
-                self.stale,
-                &self.deltas_snapshot(),
-            ) {
+            // Failpoint: a failed redial marks the node down, so the backoff
+            // gate decides when a later query dials again.
+            let redialed = crate::shardnet::inject("fleet.redial", &node.endpoint.to_string())
+                .and_then(|()| {
+                    connect_node(
+                        &self.reference,
+                        &self.expect,
+                        &node.endpoint,
+                        &node.classes,
+                        node.pushed.load(Ordering::Relaxed),
+                        self.stale,
+                        &self.deltas_snapshot(),
+                    )
+                });
+            match redialed {
                 Ok((fresh, pushed)) => {
                     *mux = fresh;
                     node.pushed.store(pushed, Ordering::Relaxed);
@@ -782,14 +800,14 @@ impl FleetView {
     /// node (see [`FleetMember::candidate_order`]), or the first node that
     /// accepts the submit. [`FleetView::poll_request`] drives it to a
     /// winner.
-    fn start_request<'m>(
+    pub(crate) fn start_request(
         &self,
-        member: &'m FleetMember,
+        member: &Arc<FleetMember>,
         id: u64,
         bytes: &[u8],
-    ) -> HedgedRequest<'m> {
+    ) -> HedgedRequest {
         let mut request = HedgedRequest {
-            member,
+            member: Arc::clone(member),
             hedge_delay: member.hedge_delay(),
             candidates: member.candidate_order().into_iter(),
             in_flight: Vec::new(),
@@ -802,7 +820,7 @@ impl FleetView {
 
     /// Submit `bytes` to the next candidate node that accepts it. A node
     /// refusing the submit (down, or its redial failed) is skipped.
-    fn fire_next(&self, request: &mut HedgedRequest<'_>, id: u64, bytes: &[u8]) {
+    fn fire_next(&self, request: &mut HedgedRequest, id: u64, bytes: &[u8]) {
         for node_index in request.candidates.by_ref() {
             match self.node_submit(&request.member.nodes[node_index], id, bytes) {
                 Ok(pending) => {
@@ -828,14 +846,14 @@ impl FleetView {
     /// measured to when the mux delivered it, feeds the windows, and the
     /// losing replies are left to the abandoned-id drain. Only when every
     /// node has failed does the last error surface.
-    fn poll_request(
+    pub(crate) fn poll_request(
         &self,
-        request: &mut HedgedRequest<'_>,
+        request: &mut HedgedRequest,
         id: u64,
         bytes: &[u8],
         wait: Duration,
     ) -> Option<Result<(String, ClientReply), NetError>> {
-        let member = request.member;
+        let member = &request.member;
         let mut i = 0;
         while i < request.in_flight.len() {
             let (node_index, pending, fired_at) = &mut request.in_flight[i];
@@ -873,9 +891,10 @@ impl FleetView {
 }
 
 /// One member's request in flight, between [`FleetView::start_request`] and
-/// the [`FleetView::poll_request`] that returns its outcome.
-struct HedgedRequest<'m> {
-    member: &'m FleetMember,
+/// the [`FleetView::poll_request`] that returns its outcome. It owns its
+/// member, so one thread can start it and another drive it to a winner.
+pub(crate) struct HedgedRequest {
+    member: Arc<FleetMember>,
     hedge_delay: Duration,
     /// Nodes not yet fired at, in preference order.
     candidates: std::vec::IntoIter<usize>,
@@ -885,13 +904,31 @@ struct HedgedRequest<'m> {
     started: Instant,
 }
 
-impl HedgedRequest<'_> {
+impl HedgedRequest {
     /// When the next hedge is due — one [`FleetMember::hedge_delay`] past
     /// the request's start per node already in flight — or `None` once
     /// every node has been fired at.
     fn next_hedge(&self) -> Option<Instant> {
         (!self.candidates.as_slice().is_empty())
             .then(|| self.started + self.hedge_delay.saturating_mul(self.in_flight.len() as u32))
+    }
+
+    /// How long the next [`FleetView::poll_request`] of a caller driving
+    /// only this request may block: until the next hedge is due, or on the
+    /// reply itself when none is due and at most one node is in flight
+    /// (`Duration::MAX`, which `recv_timeout` waits out like `recv`; the
+    /// mux's reply deadline bounds that wait). With several nodes in
+    /// flight every poll also checks the others, so it waits at most
+    /// [`POLL_QUANTUM`].
+    pub(crate) fn patience(&self) -> Duration {
+        let until_hedge = self
+            .next_hedge()
+            .map(|at| at.saturating_duration_since(Instant::now()));
+        match (self.in_flight.len(), until_hedge) {
+            (0 | 1, None) => Duration::MAX,
+            (0 | 1, Some(wait)) => wait,
+            (_, wait) => wait.map_or(POLL_QUANTUM, |wait| wait.min(POLL_QUANTUM)),
+        }
     }
 }
 
@@ -1200,7 +1237,7 @@ fn scatter(
     id: u64,
     bytes: &[u8],
 ) -> Vec<Result<(String, ClientReply), NetError>> {
-    let mut open: Vec<(usize, HedgedRequest<'_>)> = members
+    let mut open: Vec<(usize, HedgedRequest)> = members
         .iter()
         .map(|member| view.start_request(member, id, bytes))
         .enumerate()
@@ -1454,10 +1491,130 @@ mod tests {
         Endpoint::Tcp(addr)
     }
 
-    fn spawn_loaded_worker(rs: &Arc<ReferenceSet>) -> Endpoint {
-        spawn_host(Arc::new(TenantHost::single(Some(
-            ShardWorker::all_classes(Arc::clone(rs)),
+    fn loaded_host(rs: &Arc<ReferenceSet>) -> Arc<TenantHost> {
+        Arc::new(TenantHost::single(Some(ShardWorker::all_classes(
+            Arc::clone(rs),
         ))))
+    }
+
+    fn spawn_loaded_worker(rs: &Arc<ReferenceSet>) -> Endpoint {
+        spawn_host(loaded_host(rs))
+    }
+
+    /// A loopback worker whose `n`-th accepted connection (from 0) answers
+    /// `budget(n)` score requests and then drops without a goodbye — the
+    /// shape of an idle-reaped or crashed worker. Returns its endpoint and
+    /// the running accept count.
+    fn spawn_budgeted_worker(
+        rs: &Arc<ReferenceSet>,
+        budget: fn(usize) -> Option<u64>,
+    ) -> (Endpoint, Arc<std::sync::atomic::AtomicUsize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
+        let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+        let host = loaded_host(rs);
+        let accepted = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let accept_count = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { return };
+                let n = accept_count.fetch_add(1, Ordering::SeqCst);
+                let host = Arc::clone(&host);
+                std::thread::spawn(move || {
+                    let _ = host.serve_requests(stream, "budgeted", budget(n));
+                });
+            }
+        });
+        (endpoint, accepted)
+    }
+
+    /// Wait until the mux of `fleet`'s only node has noticed its peer's
+    /// EOF and poisoned itself.
+    fn await_poison(fleet: &FleetBackend) {
+        let members = fleet.view().members();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !members[0].nodes[0]
+            .mux
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .is_poisoned()
+        {
+            assert!(Instant::now() < deadline, "mux never noticed the EOF");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn a_dropped_worker_connection_is_redialed_on_a_later_query() {
+        let rs = reference();
+        let queries = queries();
+        let expected = expected_rows(&rs, &queries[..1]);
+        // Every connection answers one request and drops, repeatably.
+        let (endpoint, _) = spawn_budgeted_worker(&rs, |_| Some(1));
+        let fleet = FleetBackend::connect(Arc::clone(&rs), FleetTopology::replica_less([endpoint]))
+            .expect("connect");
+        assert_eq!(
+            fleet
+                .try_feature_rows_prepared(&queries[..1])
+                .expect("first query"),
+            expected
+        );
+        // The worker dropped the connection after that answer; once the
+        // mux has noticed, the next query must transparently re-dial
+        // instead of failing on the sticky poison.
+        await_poison(&fleet);
+        assert_eq!(
+            fleet
+                .try_feature_rows_prepared(&queries[..1])
+                .expect("query after the reconnect"),
+            expected
+        );
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_reconnect_after_poison() {
+        let rs = reference();
+        let queries = queries();
+        let expected = expected_rows(&rs, &queries[..1]);
+        // The first connection answers one request and drops; every later
+        // one serves normally. The accept count makes the reconnect
+        // observable from the worker's side of the wire.
+        let (endpoint, accepted) = spawn_budgeted_worker(&rs, |n| (n == 0).then_some(1));
+        let fleet = FleetBackend::connect(Arc::clone(&rs), FleetTopology::replica_less([endpoint]))
+            .expect("connect");
+        assert_eq!(
+            fleet
+                .try_feature_rows_prepared(&queries[..1])
+                .expect("first query"),
+            expected
+        );
+        await_poison(&fleet);
+        assert_eq!(
+            accepted.load(Ordering::SeqCst),
+            1,
+            "only the first dial so far"
+        );
+
+        // Hit the poisoned node from many threads at once. The redial runs
+        // under the node's mux lock, so exactly one caller pays for it; the
+        // rest queue behind the lock and submit on the fresh connection.
+        const CALLERS: usize = 8;
+        let barrier = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|s| {
+            for _ in 0..CALLERS {
+                s.spawn(|| {
+                    barrier.wait();
+                    let rows = fleet
+                        .try_feature_rows_prepared(&queries[..1])
+                        .expect("query during the shared reconnect");
+                    assert_eq!(rows, expected, "row changed across the reconnect");
+                });
+            }
+        });
+        assert_eq!(
+            accepted.load(Ordering::SeqCst),
+            2,
+            "exactly one reconnect served the whole caller burst"
+        );
     }
 
     fn spawn_diskless_worker() -> Endpoint {
@@ -1786,7 +1943,7 @@ mod tests {
         // handshake (a request budget of zero) — every query on it fails.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind flaky primary");
         let addr = listener.local_addr().unwrap().to_string();
-        let flaky = Arc::new(ShardWorker::all_classes(Arc::clone(&rs)));
+        let flaky = loaded_host(&rs);
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { return };
@@ -1931,7 +2088,7 @@ mod tests {
         // every redial fails.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind one-shot worker");
         let addr = listener.local_addr().unwrap().to_string();
-        let worker = Arc::new(ShardWorker::all_classes(Arc::clone(&rs)));
+        let worker = loaded_host(&rs);
         std::thread::spawn(move || {
             if let Some(Ok(stream)) = listener.incoming().next() {
                 let _ = worker.serve_requests(stream, "one-shot", Some(0));
@@ -1996,7 +2153,7 @@ mod tests {
         let rs = reference();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind one-shot worker");
         let addr = listener.local_addr().unwrap().to_string();
-        let worker = Arc::new(ShardWorker::all_classes(Arc::clone(&rs)));
+        let worker = loaded_host(&rs);
         std::thread::spawn(move || {
             if let Some(Ok(stream)) = listener.incoming().next() {
                 let _ = worker.serve_requests(stream, "one-shot", Some(0));

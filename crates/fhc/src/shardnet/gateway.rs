@@ -21,13 +21,15 @@
 //!                              per-conn writer ◄───────┘ (rows, in order)
 //! ```
 //!
-//! Internally each shard connection is driven by one **batcher** thread
-//! (drains that shard's job queue, packs up to
-//! [`GatewayOptions::max_batch`] queries into one batch frame, submits it
-//! to the shard's [`hpcutil::Mux`]) and one **distributor** thread (awaits
-//! the replies in submission order and hands each partial row back to the
-//! query that asked for it). Because submission never waits for a reply,
-//! a batch is on the wire while the previous one is still being scored —
+//! The shard side is a [`FleetView`]: each shard is a fleet member, a
+//! primary endpoint plus any replicas. Each member is driven by one
+//! **batcher** thread (drains that shard's job queue, packs up to
+//! [`GatewayOptions::max_batch`] queries into one batch frame, and starts
+//! it on the member with `FleetView::start_request`) and one
+//! **distributor** thread (drives the started requests to their winning
+//! replies in submission order and hands each partial row back to the
+//! query that asked for it). Because starting never waits for a reply, a
+//! batch is on the wire while the previous one is still being scored —
 //! the shard sockets stay full.
 //!
 //! Client connections are served pipelined the same way: a reader thread
@@ -37,18 +39,19 @@
 //! ([`wire::FEATURE_SCORE_BATCH`]); one that does not is refused at
 //! connect.
 //!
-//! Failure keeps the same contract as the fleet client: a lost worker
-//! surfaces as a typed error frame to every affected client query — never
-//! a wrong or partial row — and the shard connection is re-dialed on the
-//! next query (see `RemoteWorker::submit`), so an idle-reaped or restarted
-//! worker heals without a gateway restart.
+//! Failure keeps the fleet client's contract, because it is the fleet
+//! client: the classes are dealt round-robin over the members, a slow node
+//! is hedged onto its replicas, a failed one fails over to them, and a lost
+//! connection is re-dialed on a later batch once the node's backoff gate
+//! opens. Only when every node of a shard has failed does a query see an
+//! error, and then as a typed error frame — never a wrong or partial row.
 
 use crate::features::PreparedSampleFeatures;
-use crate::shardnet::remote::{connect_workers, RemoteWorker};
+use crate::shardnet::fleet::{FleetMember, FleetTopology, FleetView, HedgedRequest};
+use crate::shardnet::remote::merge_partial_row;
 use crate::shardnet::wire::{self, ClientReply, Frame, Hello, ScoreBatchResponse, ScoreResponse};
-use crate::shardnet::{serve_listener, Endpoint, Listener, NetError};
+use crate::shardnet::{serve_listener, Listener, NetError};
 use crate::similarity::ReferenceSet;
-use hpcutil::PendingReply;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -93,7 +96,7 @@ pub struct GatewayOptions {
     /// exceed [`wire::MAX_FRAME_PAYLOAD`].
     pub max_batch: usize,
     /// The tenant this gateway serves, on both sides of the hop: it is
-    /// selected on every worker handshake and advertised in the gateway's
+    /// selected on every worker dial and advertised in the gateway's
     /// own client [`Hello`]. `None` means the default tenant
     /// ([`wire::DEFAULT_TENANT`]). A gateway fronts exactly one tenant;
     /// run one gateway per tenant to multiplex.
@@ -309,25 +312,29 @@ struct ShardJob {
 }
 
 /// The gateway's handle on one shard: where to enqueue jobs, and the
-/// partition the shard's rows are validated against.
+/// partition the shard's rows are validated against. `peer` names the
+/// shard's primary endpoint.
 struct ShardHandle {
     peer: String,
     classes: Vec<usize>,
     queue: SyncSender<ShardJob>,
 }
 
-/// A batch submitted to a shard's mux, paired with the jobs its rows
-/// answer. The distributor consumes these in submission order.
+/// A batch started on a shard's member, paired with the frame (kept for
+/// hedges) and the jobs its rows answer. The distributor consumes these in
+/// submission order.
 struct InFlight {
-    pending: PendingReply<ClientReply>,
+    request: HedgedRequest,
+    id: u64,
+    bytes: Vec<u8>,
     jobs: Vec<ShardJob>,
 }
 
 /// The batching front door itself: validated connections to the whole
 /// shard fleet, one batcher/distributor thread pair per shard.
 ///
-/// Built with [`Gateway::connect`] (handshake, fingerprint, batch-support,
-/// and exact-cover validation) and served with
+/// Built with [`Gateway::connect`] (handshake, fingerprint and
+/// batch-support validation, partition assignment) and served with
 /// [`serve_tcp`] / [`serve_unix`] — or driven in process through
 /// [`serve_client`]. Dropping the gateway closes the shard queues; the
 /// batcher and distributor threads drain what is in flight and exit on
@@ -359,15 +366,15 @@ impl std::fmt::Debug for Gateway {
 }
 
 impl Gateway {
-    /// Connect to the shard fleet at `endpoints` and spawn the per-shard
-    /// batching pipelines. A worker that fails the handshake — including
-    /// one without batch scoring — is a typed [`NetError::Handshake`]; an
-    /// advertised partition is kept when the workers' partitions cover
-    /// every class exactly once, otherwise unpartitioned workers are dealt
-    /// round-robin.
+    /// Connect the shard fleet declared by `topology` (see
+    /// [`FleetView::connect_tenant`]) and spawn one batching pipeline per
+    /// member. A worker that fails the handshake — including one without
+    /// batch scoring — is a typed [`NetError::Handshake`]. The classes are
+    /// dealt round-robin over the shards in topology order and assigned
+    /// over the wire to any worker advertising another partition.
     pub fn connect(
         reference: Arc<ReferenceSet>,
-        endpoints: &[Endpoint],
+        topology: FleetTopology,
         options: GatewayOptions,
     ) -> Result<Self, NetError> {
         if options.max_batch == 0 {
@@ -400,7 +407,11 @@ impl Gateway {
             });
         }
         let admission = Arc::new(Admission::from_options(&options, &tenant, Instant::now()));
-        let workers = connect_workers(&reference, endpoints, options.tenant.as_deref())?;
+        let view = Arc::new(FleetView::connect_tenant(
+            Arc::clone(&reference),
+            topology,
+            options.tenant.as_deref(),
+        )?);
         let fingerprint = reference.fingerprint();
         // Columns per class across the active views; a shard's dense
         // partial row carries classes * kinds cells.
@@ -408,11 +419,13 @@ impl Gateway {
             0 => 0,
             n => reference.n_columns() / n,
         };
-        let mut shards = Vec::with_capacity(workers.len());
-        let mut batchers = Vec::with_capacity(workers.len());
-        for worker in workers {
-            let peer = worker.endpoint.to_string();
-            let classes = worker.classes.clone();
+        let members = view.members();
+        let mut shards = Vec::with_capacity(members.len());
+        let mut batchers = Vec::with_capacity(members.len());
+        // Members are built in topology order.
+        for (shard, member) in view.topology().shards.iter().zip(members) {
+            let peer = shard.primary.to_string();
+            let classes = member.classes().to_vec();
             let (queue, jobs) = mpsc::sync_channel::<ShardJob>(SHARD_QUEUE_DEPTH);
             // Clamp the batch per shard so its worst-case dense batch
             // response stays under the frame budget even on wide
@@ -420,9 +433,10 @@ impl Gateway {
             let max_batch = options
                 .max_batch
                 .min(wire::max_batch_rows_for(classes.len() * n_kinds));
+            let (view, batcher_peer) = (Arc::clone(&view), peer.clone());
             let batcher = std::thread::Builder::new()
                 .name("gw-batcher".into())
-                .spawn(move || batcher_loop(worker, jobs, max_batch))
+                .spawn(move || batcher_loop(view, member, batcher_peer, jobs, max_batch))
                 .map_err(|e| NetError::Io {
                     peer: peer.clone(),
                     source: e,
@@ -456,7 +470,7 @@ impl Gateway {
         &self.tenant
     }
 
-    /// Number of shard workers behind this gateway.
+    /// Number of shards (fleet members) behind this gateway.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
@@ -486,9 +500,8 @@ impl Gateway {
         &self,
         replies: Vec<Receiver<RowResult>>,
     ) -> Result<Vec<(u32, f64)>, NetError> {
-        let n_columns = self.reference.n_columns();
         let n_classes = self.reference.n_classes();
-        let mut row = vec![0.0f64; n_columns];
+        let mut row = vec![0.0f64; self.reference.n_columns()];
         for (shard, reply) in self.shards.iter().zip(replies) {
             let cells = match reply.recv() {
                 Ok(Ok(cells)) => cells,
@@ -505,18 +518,7 @@ impl Gateway {
                     });
                 }
             };
-            for (column, score) in cells {
-                let column = column as usize;
-                if column >= n_columns
-                    || shard.classes.binary_search(&(column % n_classes)).is_err()
-                {
-                    return Err(NetError::Protocol {
-                        peer: shard.peer.clone(),
-                        detail: format!("response cell for column {column} outside its partition"),
-                    });
-                }
-                row[column] = row[column].max(score);
-            }
+            merge_partial_row(&shard.peer, &shard.classes, n_classes, cells, &mut row)?;
         }
         Ok(row
             .into_iter()
@@ -564,16 +566,21 @@ fn submit_to_shards(
 }
 
 /// Drain one shard's job queue, packing waiting queries into batch frames
-/// and submitting them to the shard's mux without awaiting replies. Exits
-/// when every [`ShardHandle`] clone of the queue sender is gone.
-fn batcher_loop(worker: RemoteWorker, jobs: Receiver<ShardJob>, max_batch: usize) {
-    let peer = worker.endpoint.to_string();
+/// and starting them on the shard's member without awaiting replies.
+/// Exits when every [`ShardHandle`] clone of the queue sender is gone.
+fn batcher_loop(
+    view: Arc<FleetView>,
+    member: Arc<FleetMember>,
+    peer: String,
+    jobs: Receiver<ShardJob>,
+    max_batch: usize,
+) {
     let (inflight_tx, inflight_rx) = mpsc::sync_channel::<InFlight>(INFLIGHT_DEPTH);
     let spawned = std::thread::Builder::new()
         .name("gw-distributor".into())
         .spawn({
-            let peer = peer.clone();
-            move || distributor_loop(inflight_rx, &peer)
+            let (view, peer) = (Arc::clone(&view), peer.clone());
+            move || distributor_loop(&view, inflight_rx, &peer)
         });
     let distributor = match spawned {
         Ok(handle) => handle,
@@ -614,10 +621,12 @@ fn batcher_loop(worker: RemoteWorker, jobs: Receiver<ShardJob>, max_batch: usize
         let id = next_id;
         next_id += 1;
         let bytes = wire::score_batch_request_bytes(id, pack.iter().map(|j| j.query.as_ref()));
-        let pending = worker.submit(id, bytes);
+        let request = view.start_request(&member, id, &bytes);
         if inflight_tx
             .send(InFlight {
-                pending,
+                request,
+                id,
+                bytes,
                 jobs: pack,
             })
             .is_err()
@@ -627,24 +636,35 @@ fn batcher_loop(worker: RemoteWorker, jobs: Receiver<ShardJob>, max_batch: usize
     }
     drop(inflight_tx);
     let _ = distributor.join();
-    // `worker` drops here: the mux joins its threads and closes the socket.
 }
 
-/// Await one shard's replies in submission order and route each row back
-/// to the query that asked for it. A failed batch faults every query it
-/// carried — with the peer named — and the batcher's next submit re-dials
-/// the poisoned connection (see `RemoteWorker::submit`), so one lost
-/// worker connection never wedges the gateway into answering every future
-/// query with `WorkerLost`.
-fn distributor_loop(inflight: Receiver<InFlight>, peer: &str) {
-    for InFlight { pending, jobs } in inflight {
+/// Drive one shard's started requests to their winning replies in
+/// submission order and route each row back to the query that asked for
+/// it. A batch whose every node failed faults every query it carried —
+/// with the peer named — and a later batch re-dials the lost connections
+/// once their backoff gates open, so one lost worker connection never
+/// wedges the gateway into answering every future query with `WorkerLost`.
+fn distributor_loop(view: &FleetView, inflight: Receiver<InFlight>, peer: &str) {
+    for InFlight {
+        mut request,
+        id,
+        bytes,
+        jobs,
+    } in inflight
+    {
         // Failpoint: a distributor that cannot route a reply faults the
-        // batch it was for; the abandoned `pending` is simply dropped.
+        // batch it was for; the abandoned request is simply dropped.
         if let Err(e) = crate::shardnet::inject("gateway.distribute", peer) {
             fault_jobs(jobs, peer, e.to_string());
             continue;
         }
-        match pending.wait() {
+        let outcome = loop {
+            let wait = request.patience();
+            if let Some(outcome) = view.poll_request(&mut request, id, &bytes, wait) {
+                break outcome;
+            }
+        };
+        match outcome.map(|(_, reply)| reply) {
             Ok(ClientReply::Batch(response)) if response.rows.len() == jobs.len() => {
                 for (job, row) in jobs.into_iter().zip(response.rows) {
                     let _ = job.reply.send(Ok(row));
@@ -989,7 +1009,8 @@ mod tests {
     use crate::backend::{AnyBackend, BackendConfig, SimilarityBackend};
     use crate::error::FhcError;
     use crate::features::{FeatureKind, SampleFeatures};
-    use crate::shardnet::worker::{self, ShardWorker};
+    use crate::shardnet::worker::{self, ShardWorker, TenantHost};
+    use crate::shardnet::Endpoint;
 
     fn reference() -> Arc<ReferenceSet> {
         let train = vec![
@@ -1034,8 +1055,12 @@ mod tests {
     fn gateway_rows_are_byte_identical_to_the_indexed_backend() {
         let rs = reference();
         let endpoints = vec![spawn_worker(rs.clone()), spawn_worker(rs.clone())];
-        let gateway =
-            Gateway::connect(rs.clone(), &endpoints, GatewayOptions::default()).expect("connect");
+        let gateway = Gateway::connect(
+            rs.clone(),
+            FleetTopology::replica_less(endpoints),
+            GatewayOptions::default(),
+        )
+        .expect("connect");
         assert_eq!(gateway.n_shards(), 2);
         let front = spawn_gateway(gateway);
 
@@ -1067,7 +1092,9 @@ mod tests {
         // gateway its shard connection.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
         let addr = listener.local_addr().unwrap().to_string();
-        let shard = Arc::new(ShardWorker::all_classes(rs.clone()));
+        let shard = Arc::new(TenantHost::single(Some(ShardWorker::all_classes(
+            rs.clone(),
+        ))));
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { return };
@@ -1080,7 +1107,7 @@ mod tests {
 
         let gateway = Gateway::connect(
             rs.clone(),
-            &[Endpoint::Tcp(addr)],
+            FleetTopology::replica_less([Endpoint::Tcp(addr)]),
             GatewayOptions::default(),
         )
         .expect("connect");
@@ -1291,7 +1318,8 @@ mod tests {
             quotas: vec![(wire::DEFAULT_TENANT.to_string(), 1)],
             ..GatewayOptions::default()
         };
-        let gateway = Gateway::connect(rs.clone(), &endpoints, options).expect("connect");
+        let gateway = Gateway::connect(rs.clone(), FleetTopology::replica_less(endpoints), options)
+            .expect("connect");
         let front = spawn_gateway(gateway);
         let backend = dial(&rs, &front);
 
@@ -1369,7 +1397,7 @@ mod tests {
         let rs = reference();
         let err = Gateway::connect(
             rs,
-            &[],
+            FleetTopology::replica_less([]),
             GatewayOptions {
                 max_batch: 0,
                 ..GatewayOptions::default()
@@ -1383,7 +1411,7 @@ mod tests {
         let rs = reference();
         let err = Gateway::connect(
             rs.clone(),
-            &[],
+            FleetTopology::replica_less([]),
             GatewayOptions {
                 quotas: vec![("acme".into(), 0)],
                 ..GatewayOptions::default()
@@ -1392,7 +1420,7 @@ mod tests {
         assert!(matches!(err, Err(NetError::Partition(_))));
         let err = Gateway::connect(
             rs,
-            &[],
+            FleetTopology::replica_less([]),
             GatewayOptions {
                 max_inflight: Some(0),
                 ..GatewayOptions::default()
@@ -1404,9 +1432,12 @@ mod tests {
     #[test]
     fn an_assign_from_a_client_is_a_typed_error() {
         let rs = reference();
-        let endpoints = vec![spawn_worker(rs.clone())];
-        let gateway =
-            Gateway::connect(rs.clone(), &endpoints, GatewayOptions::default()).expect("connect");
+        let gateway = Gateway::connect(
+            rs.clone(),
+            FleetTopology::replica_less([spawn_worker(rs.clone())]),
+            GatewayOptions::default(),
+        )
+        .expect("connect");
         let front = spawn_gateway(gateway);
 
         let mut conn = front.connect().expect("dial gateway");

@@ -14,8 +14,9 @@
 //!   it owns a reference set (typically loaded from a classifier artifact),
 //!   scores its class partition through the same block-size-bucketed index
 //!   as [`IndexedBackend`](crate::backend::IndexedBackend), and answers
-//!   score requests over any `Read + Write` stream. The `fhc-shardd` binary
-//!   serves it through the accept loop of this module.
+//!   score requests over any `Read + Write` stream through one serving
+//!   loop, [`TenantHost::serve_requests`]. The `fhc-shardd` binary serves
+//!   it through the accept loop of this module.
 //! * [`fleet`] — [`FleetBackend`], the one client: a
 //!   [`SimilarityBackend`](crate::backend::SimilarityBackend) whose
 //!   `max_scores_into` fans out to its shards over persistent connections
@@ -28,10 +29,10 @@
 //!   door: it accepts many client connections, coalesces concurrently
 //!   arriving queries into [`ScoreBatchRequest`](wire::ScoreBatchRequest)
 //!   frames per shard, and presents the whole fleet to its clients as one
-//!   worker serving every class. The `fhc-gateway` binary serves it; a
+//!   worker serving every class. Its shard side is a [`FleetView`], driven
+//!   one member per batcher thread. The `fhc-gateway` binary serves it; a
 //!   `gateway:EP` backend spec is a one-shard fleet pointed at it.
-//! * [`remote`] — the handshake both clients share, and the gateway's
-//!   shard connections.
+//! * [`remote`] — the handshake helpers of the fleet's connect path.
 //!
 //! Failure is a first-class outcome: a worker that dies mid-batch surfaces
 //! as a typed [`NetError`] through the `try_*` serving APIs — never as a

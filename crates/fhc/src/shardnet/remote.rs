@@ -1,26 +1,19 @@
-//! The shard-protocol handshake, shared by both clients of `fhc-shardd`
-//! workers: the [`FleetBackend`](crate::shardnet::FleetBackend) and the
-//! gateway's shard side.
+//! The shard-protocol handshake helpers of the one client of `fhc-shardd`
+//! workers, the [`FleetView`](crate::shardnet::FleetView), which also
+//! drives the gateway's shard side.
 //!
 //! Every connection is validated at handshake time: protocol version,
 //! reference-set fingerprint, column geometry, and batch scoring
 //! ([`wire::FEATURE_SCORE_BATCH`]) must match, and a worker is assigned
-//! the partition its client expects. `RemoteWorker` is the gateway's
-//! mux-driven connection to one worker: a lost connection is re-dialed
-//! (handshake re-validated, partition re-assigned) on the next query, so
-//! an idle-reaped or restarted worker heals instead of wedging the gateway.
+//! the partition its client expects.
 
-use crate::backend::round_robin_partition;
 use crate::shardnet::wire::{self, ClientReply, Frame, Hello};
-use crate::shardnet::{Endpoint, NetError, SplitConn, IO_TIMEOUT, MUX_POLL_INTERVAL};
-use crate::similarity::ReferenceSet;
-use hpcutil::{Mux, MuxError, MuxErrorKind, MuxOptions, PendingReply};
+use crate::shardnet::{NetError, SplitConn, IO_TIMEOUT, MUX_POLL_INTERVAL};
+use hpcutil::{Mux, MuxError, MuxErrorKind, MuxOptions};
 use std::io::Read;
-use std::sync::Mutex;
 
-/// The handshake values a reconnected worker must reproduce; see
-/// [`RemoteWorker::submit`]. Captured at first connect, after validation
-/// against the local reference set.
+/// The handshake values every dial and redial of a worker must reproduce,
+/// taken from the client's reference set.
 #[derive(Debug, Clone)]
 pub(crate) struct HandshakeExpect {
     pub(crate) fingerprint: u64,
@@ -37,88 +30,6 @@ impl HandshakeExpect {
     /// The tenant name every greeting on this connection must carry.
     pub(crate) fn tenant_name(&self) -> &str {
         self.tenant.as_deref().unwrap_or(wire::DEFAULT_TENANT)
-    }
-}
-
-/// One connected shard worker: its validated partition and the multiplexer
-/// pipelining requests over its socket. The gateway wraps these in
-/// per-shard batcher threads.
-pub(crate) struct RemoteWorker {
-    pub(crate) endpoint: Endpoint,
-    /// The classes this worker scores (sorted), per its final handshake.
-    pub(crate) classes: Vec<usize>,
-    expect: HandshakeExpect,
-    /// The live multiplexer, swapped for a fresh connection by
-    /// [`RemoteWorker::submit`] once the current one is poisoned.
-    mux: Mutex<Mux<ClientReply>>,
-}
-
-impl RemoteWorker {
-    /// Queue one pre-encoded request frame on the worker's connection and
-    /// register `id` for reply correlation.
-    ///
-    /// A mux failure is sticky, but the *worker* usually is not: its idle
-    /// reaper closes quiet sockets after
-    /// [`IDLE_TIMEOUT`](crate::shardnet::worker::IDLE_TIMEOUT), it may have
-    /// restarted, a transient network fault may have reset the connection.
-    /// So a poisoned connection is **re-dialed here, on the next query**:
-    /// the endpoint is reconnected, the handshake re-validated against the
-    /// values captured at first connect, and the worker's partition
-    /// re-assigned if the fresh handshake does not already advertise it. A
-    /// lost connection therefore costs at most the queries that were in
-    /// flight on it — it never wedges the backend (or a gateway) into
-    /// answering every future query with `WorkerLost`. If the re-dial
-    /// itself fails, the submit falls through to the poisoned mux and the
-    /// caller gets the original typed error; the query after that re-dials
-    /// again.
-    pub(crate) fn submit(&self, id: u64, frame_bytes: Vec<u8>) -> PendingReply<ClientReply> {
-        let mut mux = self.mux.lock().unwrap_or_else(|p| p.into_inner());
-        if mux.is_poisoned() {
-            if let Ok(fresh) = self.redial() {
-                *mux = fresh;
-            }
-        }
-        mux.submit(id, frame_bytes)
-    }
-
-    /// Whether the current connection has failed (the next
-    /// [`RemoteWorker::submit`] will re-dial).
-    #[cfg(test)]
-    pub(crate) fn is_poisoned(&self) -> bool {
-        self.mux
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .is_poisoned()
-    }
-
-    /// Dial a fresh connection to this worker's endpoint and bring it to
-    /// the exact state of the original one: validated handshake, same
-    /// partition, mux spawned.
-    fn redial(&self) -> Result<Mux<ClientReply>, NetError> {
-        let peer = self.endpoint.to_string();
-        // Failpoint: a redial that fails leaves the poisoned mux in place,
-        // so the caller gets the original typed error and the *next* query
-        // tries again — the reconnect gate the chaos soak leans on.
-        crate::shardnet::inject("remote.redial", &peer)?;
-        let mut conn = self
-            .endpoint
-            .connect_split()
-            .map_err(|source| NetError::Io {
-                peer: peer.clone(),
-                source,
-            })?;
-        let mut hello = read_hello(conn.reader(), &peer)?;
-        if let Some(tenant) = &self.expect.tenant {
-            if hello.tenant != *tenant {
-                hello = select_tenant(&mut conn, &peer, tenant)?;
-            }
-        }
-        validate_hello(&self.expect, &peer, &hello)?;
-        if hello.classes != self.classes {
-            hello = assign_partition(&mut conn, &peer, self.classes.clone())?;
-        }
-        require_batch(&peer, &hello)?;
-        spawn_mux(conn, peer)
     }
 }
 
@@ -143,103 +54,6 @@ pub(crate) fn spawn_mux(conn: SplitConn, peer: String) -> Result<Mux<ClientReply
         |tag, payload: Vec<u8>| wire::decode_client_reply(tag, &payload),
     )
     .map_err(|e| net_error_from_mux(&peer, e))
-}
-
-impl std::fmt::Debug for RemoteWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteWorker")
-            .field("endpoint", &self.endpoint)
-            .field("classes", &self.classes)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Dial, handshake, and validate every endpoint, returning one mux-driven
-/// [`RemoteWorker`] per connection — the gateway's shard side.
-///
-/// Each worker's handshake must match the local protocol version,
-/// reference fingerprint, and column geometry, and must advertise batch
-/// scoring. If the advertised class partitions already cover every class
-/// exactly once they are used as is; if instead every worker advertises
-/// *all* classes (the default state of an unpartitioned `fhc-shardd`), the
-/// classes are dealt round-robin across the workers
-/// ([`round_robin_partition`]) and assigned over the wire. Anything else
-/// is a [`NetError::Partition`].
-pub(crate) fn connect_workers(
-    reference: &ReferenceSet,
-    endpoints: &[Endpoint],
-    tenant: Option<&str>,
-) -> Result<Vec<RemoteWorker>, NetError> {
-    if endpoints.is_empty() {
-        return Err(NetError::Partition(
-            "a remote backend needs at least one worker endpoint".into(),
-        ));
-    }
-    // One full reference walk, reused for every worker's handshake (and
-    // stored for re-validation on reconnect).
-    let expect = HandshakeExpect {
-        fingerprint: reference.fingerprint(),
-        n_classes: reference.n_classes(),
-        n_columns: reference.n_columns(),
-        tenant: tenant.map(str::to_string),
-    };
-    let mut conns = Vec::with_capacity(endpoints.len());
-    for endpoint in endpoints {
-        let peer = endpoint.to_string();
-        let mut conn = endpoint.connect_split().map_err(|source| NetError::Io {
-            peer: peer.clone(),
-            source,
-        })?;
-        let mut hello = read_hello(conn.reader(), &peer)?;
-        if let Some(tenant) = tenant {
-            if hello.tenant != tenant {
-                hello = select_tenant(&mut conn, &peer, tenant)?;
-            }
-        }
-        validate_hello(&expect, &peer, &hello)?;
-        require_batch(&peer, &hello)?;
-        conns.push((endpoint.clone(), conn, hello));
-    }
-
-    let n_classes = reference.n_classes();
-    if !is_exact_cover(
-        n_classes,
-        conns.iter().map(|(_, _, h)| h.classes.as_slice()),
-    ) {
-        let all: Vec<usize> = (0..n_classes).collect();
-        if conns.iter().all(|(_, _, h)| h.classes == all) {
-            // Unpartitioned workers: deal the classes ourselves.
-            let partition = round_robin_partition(n_classes, conns.len());
-            for ((endpoint, conn, hello), classes) in conns.iter_mut().zip(partition) {
-                let peer = endpoint.to_string();
-                *hello = assign_partition(conn, &peer, classes)?;
-            }
-        } else {
-            return Err(NetError::Partition(format!(
-                "worker partitions must cover every class exactly once \
-                 (got {:?} over {n_classes} classes); either start each \
-                 fhc-shardd with a disjoint --classes/--shard partition \
-                 or start them all unpartitioned",
-                conns
-                    .iter()
-                    .map(|(_, _, h)| h.classes.clone())
-                    .collect::<Vec<_>>()
-            )));
-        }
-    }
-
-    conns
-        .into_iter()
-        .map(|(endpoint, conn, hello)| {
-            let mux = spawn_mux(conn, endpoint.to_string())?;
-            Ok(RemoteWorker {
-                endpoint,
-                classes: hello.classes,
-                expect: expect.clone(),
-                mux: Mutex::new(mux),
-            })
-        })
-        .collect()
 }
 
 /// How many queries ride in one client-side batch frame: enough to
@@ -457,190 +271,29 @@ pub(crate) fn assign_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendConfig, SimilarityBackend};
-    use crate::features::{FeatureKind, PreparedSampleFeatures, SampleFeatures};
-    use crate::shardnet::worker::ShardWorker;
-    use std::net::TcpListener;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    /// Score one query through `worker` as the gateway's batcher does (a
-    /// one-query batch frame), returning the dense row.
-    fn score(
-        worker: &RemoteWorker,
-        rs: &ReferenceSet,
-        id: u64,
-        query: &PreparedSampleFeatures,
-    ) -> Result<Vec<f64>, NetError> {
-        let peer = worker.endpoint.to_string();
-        let frame = wire::score_batch_request_bytes(id, std::slice::from_ref(query));
-        let reply = worker
-            .submit(id, frame)
-            .wait()
-            .map_err(|e| net_error_from_mux(&peer, e))?;
-        let ClientReply::Batch(mut batch) = reply else {
-            panic!("expected a batch reply, got {reply:?}");
-        };
-        let mut row = vec![0.0f64; rs.n_columns()];
-        merge_partial_row(
-            &peer,
-            &worker.classes,
-            rs.n_classes(),
-            batch.rows.remove(0),
-            &mut row,
-        )?;
-        Ok(row)
-    }
 
     #[test]
-    fn a_dropped_worker_connection_is_redialed_on_a_later_query() {
-        let train = vec![
-            SampleFeatures::extract(b"the velvet assembler executable body one"),
-            SampleFeatures::extract(b"the velvet assembler executable body two"),
-            SampleFeatures::extract(b"an openmalaria simulation binary payload"),
-        ];
-        let rs = Arc::new(ReferenceSet::new(
-            vec!["Velvet".into(), "OpenMalaria".into()],
-            &train,
-            &[0, 0, 1],
-            &FeatureKind::ALL,
-        ));
+    fn merge_partial_row_keeps_each_worker_inside_its_partition() {
+        // Two classes, two views: columns 0..4, class = column % 2. The
+        // worker owns class 1 only.
+        let owned = [1usize];
+        let mut row = vec![0.5, 0.25, 0.0, 0.75];
+        merge_partial_row("w1", &owned, 2, vec![(1, 0.5), (3, 0.5)], &mut row)
+            .expect("in-partition cells merge");
+        assert_eq!(row, vec![0.5, 0.5, 0.0, 0.75], "cells are max-merged");
 
-        // Every accepted connection answers exactly one request, then drops
-        // without a goodbye — the shape of an idle-reaped (or crashed and
-        // restarted) worker, repeatable across reconnects.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
-        let addr = listener.local_addr().unwrap().to_string();
-        let shard = Arc::new(ShardWorker::all_classes(rs.clone()));
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { return };
-                let shard = Arc::clone(&shard);
-                std::thread::spawn(move || {
-                    let _ = shard.serve_requests(stream, "one-shot", Some(1));
-                });
-            }
-        });
-
-        let workers = connect_workers(&rs, &[Endpoint::Tcp(addr)], None).expect("connect");
-        let worker = &workers[0];
-        let indexed = BackendConfig::Indexed.build(rs.clone());
-        let query = PreparedSampleFeatures::prepare(&SampleFeatures::extract(
-            b"the velvet assembler executable redial probe",
-        ));
-        let expected = indexed.feature_vector_prepared(&query);
-
-        let row = score(worker, &rs, 0, &query).expect("first query on the original connection");
-        assert_eq!(row, expected);
-
-        // The worker dropped the connection after that answer; wait for the
-        // mux to notice the EOF and poison itself...
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !worker.is_poisoned() {
-            assert!(Instant::now() < deadline, "mux never noticed the EOF");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // ...then the next query must transparently re-dial instead of
-        // failing forever on the sticky poison.
-        let row = score(worker, &rs, 1, &query).expect("query after the reconnect");
-        assert_eq!(row, expected);
-    }
-
-    #[test]
-    fn concurrent_callers_share_one_reconnect_after_poison() {
-        let train = vec![
-            SampleFeatures::extract(b"the velvet assembler executable body one"),
-            SampleFeatures::extract(b"the velvet assembler executable body two"),
-            SampleFeatures::extract(b"an openmalaria simulation binary payload"),
-        ];
-        let rs = Arc::new(ReferenceSet::new(
-            vec!["Velvet".into(), "OpenMalaria".into()],
-            &train,
-            &[0, 0, 1],
-            &FeatureKind::ALL,
-        ));
-
-        // The first accepted connection answers one request and drops; every
-        // later one serves normally. Counting accepts makes the reconnect
-        // observable from the worker's side of the wire.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
-        let addr = listener.local_addr().unwrap().to_string();
-        let shard = Arc::new(ShardWorker::all_classes(rs.clone()));
-        let accepted = Arc::new(AtomicUsize::new(0));
-        let accept_count = Arc::clone(&accepted);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { return };
-                let n = accept_count.fetch_add(1, Ordering::SeqCst);
-                let shard = Arc::clone(&shard);
-                std::thread::spawn(move || {
-                    let limit = if n == 0 { Some(1) } else { None };
-                    let _ = shard.serve_requests(stream, "reconnect-count", limit);
-                });
-            }
-        });
-
-        let workers = connect_workers(&rs, &[Endpoint::Tcp(addr)], None).expect("connect");
-        let worker = &workers[0];
-        let indexed = BackendConfig::Indexed.build(rs.clone());
-        let query = PreparedSampleFeatures::prepare(&SampleFeatures::extract(
-            b"the velvet assembler concurrent redial probe",
-        ));
-        let expected = indexed.feature_vector_prepared(&query);
-
-        let row = score(worker, &rs, 0, &query).expect("first query on the original connection");
-        assert_eq!(row, expected);
-
-        // The one-shot connection dropped after that answer; wait for the
-        // mux to notice the EOF and poison itself.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !worker.is_poisoned() {
-            assert!(Instant::now() < deadline, "mux never noticed the EOF");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(
-            accepted.load(Ordering::SeqCst),
-            1,
-            "only the first dial so far"
+        // Column 2 is class 0's: another shard's cell is refused.
+        let foreign = merge_partial_row("w1", &owned, 2, vec![(2, 1.0)], &mut row);
+        assert!(
+            matches!(&foreign, Err(NetError::Protocol { peer, detail })
+                if peer == "w1" && detail.contains("outside its partition")),
+            "got {foreign:?}"
         );
-
-        // Hit the poisoned worker from many threads at once. The re-dial
-        // happens under the worker's mux lock, so exactly one caller pays
-        // for it; the rest queue behind the lock and submit on the fresh
-        // connection it installed.
-        const CALLERS: u64 = 8;
-        let barrier = std::sync::Barrier::new(CALLERS as usize);
-        let rows: Vec<Vec<f64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CALLERS)
-                .map(|caller| {
-                    let (barrier, rs, query) = (&barrier, &rs, &query);
-                    s.spawn(move || {
-                        barrier.wait();
-                        score(worker, rs, 1 + caller, query)
-                            .expect("query during the shared reconnect")
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("caller thread"))
-                .collect()
-        });
-
-        for row in &rows {
-            assert_eq!(row.len(), expected.len());
-            assert!(
-                row.iter()
-                    .zip(&expected)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "row is not byte-identical after the reconnect"
-            );
-        }
-        assert_eq!(
-            accepted.load(Ordering::SeqCst),
-            2,
-            "exactly one reconnect served the whole caller burst"
+        // A column past the row's end is refused, not indexed.
+        let wide = merge_partial_row("w1", &owned, 2, vec![(5, 1.0)], &mut row);
+        assert!(
+            matches!(wide, Err(NetError::Protocol { .. })),
+            "got {wide:?}"
         );
     }
 

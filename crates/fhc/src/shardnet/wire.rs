@@ -565,7 +565,7 @@ impl Frame {
             }
             TAG_SCORE_REQUEST => {
                 let id = r.get_u64()?;
-                let query = decode_prepared_features(&mut r, FORMAT_VERSION)?;
+                let query = decode_prepared_features(&mut r)?;
                 Frame::ScoreRequest(Box::new(ScoreRequest { id, query }))
             }
             TAG_SCORE_RESPONSE => {
@@ -587,7 +587,7 @@ impl Frame {
                 }
                 let mut queries = Vec::with_capacity(n_queries);
                 for _ in 0..n_queries {
-                    queries.push(decode_prepared_features(&mut r, FORMAT_VERSION)?);
+                    queries.push(decode_prepared_features(&mut r)?);
                 }
                 Frame::ScoreBatchRequest(ScoreBatchRequest { id, queries })
             }

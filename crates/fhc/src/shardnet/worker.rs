@@ -5,9 +5,10 @@
 //! for a subset of its classes, scoring through the same
 //! block-size-bucketed index as
 //! [`IndexedBackend`](crate::backend::IndexedBackend) — which is what makes
-//! the remote path byte-identical to the in-process ones. The `fhc-shardd`
-//! binary wraps a worker in an accept loop; tests drive
-//! [`ShardWorker::serve_connection`] directly over in-process streams.
+//! the remote path byte-identical to the in-process ones. One serving loop,
+//! [`TenantHost::serve_requests`], answers every connection: `fhc-shardd`
+//! runs it through the shared accept loop, [`serve_tcp`] serves a single
+//! worker through it, and tests drive it directly over in-process streams.
 
 use crate::artifact::ArtifactDelta;
 use crate::features::PreparedSampleFeatures;
@@ -29,9 +30,9 @@ use std::sync::{Arc, RwLock};
 /// a machine that vanished without an RST, a process wedged mid-request —
 /// can therefore pin a serving thread for at most this long, instead of
 /// forever. Generous on purpose: clients hold persistent connections that
-/// legitimately idle between batches. Closing one is safe because the
-/// mux-driven clients (the fleet, the gateway's shard connections)
-/// **re-dial a closed connection on their next query**, so the reap costs
+/// legitimately idle between batches. Closing one is safe because the one
+/// shard client, the fleet (which also drives the gateway's shard side),
+/// **re-dials a closed connection on a later query**, so the reap costs
 /// at most the queries that were in flight — it never wedges a client —
 /// and the deadline only needs to beat "forever", not a round trip.
 pub use crate::shardnet::deadlines::IDLE_TIMEOUT;
@@ -138,20 +139,6 @@ impl ShardWorker {
         Ok(narrowed)
     }
 
-    /// The handshake advertising `classes` as the served partition. Workers
-    /// built from this crate always advertise batch scoring.
-    fn hello_for(&self, classes: &[usize]) -> Hello {
-        Hello {
-            protocol: wire::PROTOCOL_VERSION,
-            features: wire::FEATURE_SCORE_BATCH,
-            fingerprint: self.fingerprint,
-            n_classes: self.reference.n_classes(),
-            n_columns: self.reference.n_columns(),
-            classes: classes.to_vec(),
-            tenant: wire::DEFAULT_TENANT.to_string(),
-        }
-    }
-
     /// The partial max-score row of `query` over `classes`: one
     /// `(column, score)` cell per `(view, class)`, scored through the
     /// prepared block-size-bucketed index with the cell's running maximum
@@ -170,96 +157,6 @@ impl ShardWorker {
             .map(|(column, score)| (u32::try_from(column).expect("column index fits u32"), score))
             .collect()
     }
-
-    /// Serve one connection until the client says goodbye (a `Shutdown`
-    /// frame or a clean EOF): send the handshake, then answer score
-    /// requests. See [`ShardWorker::serve_requests`].
-    pub fn serve_connection(&self, stream: impl Transport, peer: &str) -> Result<(), NetError> {
-        self.serve_requests(stream, peer, None)
-    }
-
-    /// [`ShardWorker::serve_connection`] with an optional request budget:
-    /// after `limit` answered requests the worker drops the connection
-    /// *without* a goodbye — exactly what a crashed worker looks like from
-    /// the client side. Tests use this to exercise degraded mode
-    /// deterministically.
-    pub fn serve_requests(
-        &self,
-        mut stream: impl Transport,
-        peer: &str,
-        limit: Option<u64>,
-    ) -> Result<(), NetError> {
-        let mut classes = self.classes.clone();
-        Frame::Hello(self.hello_for(&classes)).write_to(&mut stream, peer)?;
-        let mut served = 0u64;
-        loop {
-            if limit.is_some_and(|max| served >= max) {
-                // Simulated crash: vanish mid-conversation.
-                return Ok(());
-            }
-            match Frame::read_from(&mut stream, peer) {
-                Ok(Frame::ScoreRequest(request)) => {
-                    let cells = self.partial_row(&classes, &request.query);
-                    Frame::ScoreResponse(ScoreResponse {
-                        id: request.id,
-                        cells,
-                    })
-                    .write_to(&mut stream, peer)?;
-                    served += 1;
-                }
-                Ok(Frame::ScoreBatchRequest(batch)) => {
-                    let rows = batch
-                        .queries
-                        .iter()
-                        .map(|query| self.partial_row(&classes, query))
-                        .collect();
-                    Frame::ScoreBatchResponse(ScoreBatchResponse { id: batch.id, rows })
-                        .write_to(&mut stream, peer)?;
-                    served += 1;
-                }
-                Ok(Frame::Assign(assign)) => match self.validate_assignment(assign.classes) {
-                    Ok(narrowed) => {
-                        classes = narrowed;
-                        Frame::Hello(self.hello_for(&classes)).write_to(&mut stream, peer)?;
-                    }
-                    Err(e) => {
-                        let _ = Frame::Error(e.to_string()).write_to(&mut stream, peer);
-                        return Err(e);
-                    }
-                },
-                Ok(Frame::Shutdown) => return Ok(()),
-                Ok(unexpected) => {
-                    let detail = format!("unexpected frame {unexpected:?} from client");
-                    let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-                    return Err(NetError::Protocol {
-                        peer: peer.to_string(),
-                        detail,
-                    });
-                }
-                // A clean EOF between frames is a client hangup, not an error.
-                Err(NetError::Io { ref source, .. })
-                    if source.kind() == std::io::ErrorKind::UnexpectedEof =>
-                {
-                    return Ok(());
-                }
-                // The idle deadline fired (see [`IDLE_TIMEOUT`]): the client
-                // is likely gone — close quietly, without an `Error` frame
-                // that nobody would read.
-                Err(NetError::Io { ref source, .. })
-                    if matches!(
-                        source.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(());
-                }
-                Err(e) => {
-                    let _ = Frame::Error(e.to_string()).write_to(&mut stream, peer);
-                    return Err(e);
-                }
-            }
-        }
-    }
 }
 
 /// One tenant's worker slot: the swappable [`ShardWorker`] serving a
@@ -276,11 +173,45 @@ pub struct WorkerHost {
     slot: RwLock<Option<Arc<ShardWorker>>>,
 }
 
-/// A partially received push: the declared slice count and the payloads
-/// accepted so far, in order.
+/// A partially received chunked push — reference slices or a delta: the
+/// declared chunk count and the chunks accepted so far, in order.
 struct PushBuffer {
     total: u32,
-    slices: Vec<Vec<u8>>,
+    chunks: Vec<Vec<u8>>,
+}
+
+impl PushBuffer {
+    /// Accept chunk `index` of `total` into `buffer` (opened by the first
+    /// chunk), returning every chunk once the last has arrived. A chunk out
+    /// of order, a changed `total`, or a `total` over [`MAX_PUSH_SLICES`] is
+    /// refused with a message naming `what`.
+    fn accept(
+        buffer: &mut Option<PushBuffer>,
+        what: &str,
+        index: u32,
+        total: u32,
+        payload: Vec<u8>,
+    ) -> Result<Option<Vec<Vec<u8>>>, String> {
+        let open = buffer.get_or_insert_with(|| PushBuffer {
+            total,
+            chunks: Vec::new(),
+        });
+        if total != open.total
+            || index as usize != open.chunks.len()
+            || open.total as usize > MAX_PUSH_SLICES
+        {
+            return Err(format!(
+                "{what} {index}/{total} arrived out of order (have {} of {}, cap {MAX_PUSH_SLICES})",
+                open.chunks.len(),
+                open.total
+            ));
+        }
+        open.chunks.push(payload);
+        if open.chunks.len() < open.total as usize {
+            return Ok(None);
+        }
+        Ok(buffer.take().map(|complete| complete.chunks))
+    }
 }
 
 impl WorkerHost {
@@ -314,21 +245,14 @@ impl WorkerHost {
 /// routes to the bound tenant's slot. An unknown tenant is a typed
 /// [`NetError::Tenant`] naming the offender — never a silent empty row.
 ///
-/// Beyond routing, the host extends [`ShardWorker::serve_connection`] with
-/// the push extensions: [`wire::PushSlice`] reassembly (a worker process
-/// can start **diskless** and be seeded over the wire) and
-/// [`wire::PushDelta`] patching (an installed set evolves in place through
-/// an [`ArtifactDelta`] instead of a full re-push).
+/// Beyond scoring and `Assign`, the host serves the push extensions:
+/// [`wire::PushSlice`] reassembly (a worker process can start **diskless**
+/// and be seeded over the wire) and [`wire::PushDelta`] patching (an
+/// installed set evolves in place through an [`ArtifactDelta`] instead of
+/// a full re-push).
 #[derive(Debug, Default)]
 pub struct TenantHost {
     tenants: BTreeMap<String, Arc<WorkerHost>>,
-}
-
-/// A partially received delta push: the declared chunk count and the
-/// chunks accepted so far, in order (same shape as a slice push).
-struct DeltaBuffer {
-    total: u32,
-    chunks: Vec<Vec<u8>>,
 }
 
 impl TenantHost {
@@ -406,52 +330,63 @@ impl TenantHost {
     }
 
     /// The handshake for a connection bound to `tenant`, currently serving
-    /// `worker` over `classes`. Host connections additionally advertise
+    /// `worker` over `classes`. It always advertises batch scoring,
     /// [`wire::FEATURE_REFERENCE_PUSH`] and [`wire::FEATURE_DELTA_PUSH`];
-    /// an empty slot advertises fingerprint `0` and no classes, which is
-    /// how a fleet client recognizes a worker awaiting its seed push.
+    /// an empty slot advertises fingerprint `0`, no geometry and no
+    /// classes, which is how a fleet client recognizes a worker awaiting
+    /// its seed push.
     fn hello(worker: Option<&ShardWorker>, classes: &[usize], tenant: &str) -> Hello {
-        let mut hello = match worker {
-            Some(worker) => worker.hello_for(classes),
-            None => Hello {
-                protocol: wire::PROTOCOL_VERSION,
-                features: wire::FEATURE_SCORE_BATCH,
-                fingerprint: 0,
-                n_classes: 0,
-                n_columns: 0,
-                classes: Vec::new(),
-                tenant: String::new(),
-            },
-        };
-        hello.features |= wire::FEATURE_REFERENCE_PUSH | wire::FEATURE_DELTA_PUSH;
-        hello.tenant = tenant.to_string();
-        hello
+        Hello {
+            protocol: wire::PROTOCOL_VERSION,
+            features: wire::FEATURE_SCORE_BATCH
+                | wire::FEATURE_REFERENCE_PUSH
+                | wire::FEATURE_DELTA_PUSH,
+            fingerprint: worker.map_or(0, |w| w.fingerprint),
+            n_classes: worker.map_or(0, |w| w.reference.n_classes()),
+            n_columns: worker.map_or(0, |w| w.reference.n_columns()),
+            classes: classes.to_vec(),
+            tenant: tenant.to_string(),
+        }
     }
 
-    /// Serve one connection until the client says goodbye: the
-    /// [`ShardWorker::serve_connection`] protocol extended with tenant
-    /// selection, [`wire::PushSlice`] reassembly, and [`wire::PushDelta`]
-    /// patching. Score and `Assign` frames on an unseeded slot are
-    /// protocol errors (push first); a completed push answers with
-    /// [`wire::PushAck`] (a completed delta with [`wire::DeltaAck`])
-    /// followed by a refreshed handshake, the same confirmation shape as
-    /// an `Assign`.
-    pub fn serve_connection(&self, mut stream: impl Transport, peer: &str) -> Result<(), NetError> {
+    /// Serve one connection until the client says goodbye (a `Shutdown`
+    /// frame, a clean EOF, or the [`IDLE_TIMEOUT`] read deadline): send the
+    /// handshake, then answer tenant selection, score, `Assign`,
+    /// [`wire::PushSlice`] and [`wire::PushDelta`] frames. Score and
+    /// `Assign` frames on an unseeded slot are protocol errors (push
+    /// first); a completed push answers with [`wire::PushAck`] (a completed
+    /// delta with [`wire::DeltaAck`]) followed by a refreshed handshake,
+    /// the same confirmation shape as an `Assign`.
+    ///
+    /// With `Some(limit)`, after `limit` answered score frames the host
+    /// drops the connection *without* a goodbye — exactly what a crashed
+    /// worker looks like from the client side. Tests use this to exercise
+    /// degraded mode deterministically; serving passes `None`.
+    pub fn serve_requests(
+        &self,
+        mut stream: impl Transport,
+        peer: &str,
+        limit: Option<u64>,
+    ) -> Result<(), NetError> {
         let Some((mut tenant, mut slot)) = self.initial_slot() else {
-            let detail = "no tenants registered on this host".to_string();
-            let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-            return Err(NetError::Protocol {
-                peer: peer.to_string(),
-                detail,
-            });
+            return refuse(
+                &mut stream,
+                peer,
+                "no tenants registered on this host".into(),
+            );
         };
         let mut worker = slot.worker();
         let mut classes: Vec<usize> = worker.as_ref().map_or_else(Vec::new, |w| w.classes.clone());
         Frame::Hello(Self::hello(worker.as_deref(), &classes, &tenant))
             .write_to(&mut stream, peer)?;
         let mut push: Option<PushBuffer> = None;
-        let mut delta: Option<DeltaBuffer> = None;
+        let mut delta: Option<PushBuffer> = None;
+        let mut served = 0u64;
         loop {
+            if limit.is_some_and(|max| served >= max) {
+                // Simulated crash: vanish mid-conversation.
+                return Ok(());
+            }
             match Frame::read_from(&mut stream, peer) {
                 Ok(Frame::Hello(request)) => {
                     // A client-sent Hello selects a tenant: re-bind the
@@ -484,36 +419,19 @@ impl TenantHost {
                     }
                 }
                 Ok(Frame::PushSlice(slice)) => {
-                    let buffer = push.get_or_insert_with(|| PushBuffer {
-                        total: slice.total,
-                        slices: Vec::new(),
-                    });
-                    if slice.total != buffer.total
-                        || slice.index as usize != buffer.slices.len()
-                        || buffer.total as usize > MAX_PUSH_SLICES
-                    {
-                        let detail = format!(
-                            "push slice {}/{} arrived out of order (have {} of {}, cap {})",
-                            slice.index,
-                            slice.total,
-                            buffer.slices.len(),
-                            buffer.total,
-                            MAX_PUSH_SLICES
-                        );
-                        let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-                        return Err(NetError::Protocol {
-                            peer: peer.to_string(),
-                            detail,
-                        });
-                    }
-                    buffer.slices.push(slice.payload);
-                    let complete = if buffer.slices.len() == buffer.total as usize {
-                        push.take()
-                    } else {
-                        None
+                    let pushed = PushBuffer::accept(
+                        &mut push,
+                        "push slice",
+                        slice.index,
+                        slice.total,
+                        slice.payload,
+                    );
+                    let complete = match pushed {
+                        Ok(complete) => complete,
+                        Err(detail) => return refuse(&mut stream, peer, detail),
                     };
-                    if let Some(complete) = complete {
-                        match ReferenceSet::from_slices(&complete.slices) {
+                    if let Some(slices) = complete {
+                        match ReferenceSet::from_slices(&slices) {
                             Ok((set, declared)) => {
                                 let fresh =
                                     slot.install(ShardWorker::from_pushed(Arc::new(set), declared));
@@ -533,57 +451,30 @@ impl TenantHost {
                             }
                             Err(e) => {
                                 let detail = format!("pushed slices did not assemble: {e}");
-                                let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-                                return Err(NetError::Protocol {
-                                    peer: peer.to_string(),
-                                    detail,
-                                });
+                                return refuse(&mut stream, peer, detail);
                             }
                         }
                     }
                 }
                 Ok(Frame::PushDelta(chunk)) => {
-                    let buffer = delta.get_or_insert_with(|| DeltaBuffer {
-                        total: chunk.total,
-                        chunks: Vec::new(),
-                    });
-                    if chunk.total != buffer.total
-                        || chunk.index as usize != buffer.chunks.len()
-                        || buffer.total as usize > MAX_PUSH_SLICES
-                    {
-                        let detail = format!(
-                            "push delta chunk {}/{} arrived out of order (have {} of {}, cap {})",
-                            chunk.index,
-                            chunk.total,
-                            buffer.chunks.len(),
-                            buffer.total,
-                            MAX_PUSH_SLICES
-                        );
-                        let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-                        return Err(NetError::Protocol {
-                            peer: peer.to_string(),
-                            detail,
-                        });
-                    }
-                    buffer.chunks.push(chunk.payload);
-                    let complete = if buffer.chunks.len() == buffer.total as usize {
-                        delta.take()
-                    } else {
-                        None
+                    let pushed = PushBuffer::accept(
+                        &mut delta,
+                        "push delta chunk",
+                        chunk.index,
+                        chunk.total,
+                        chunk.payload,
+                    );
+                    let complete = match pushed {
+                        Ok(complete) => complete,
+                        Err(detail) => return refuse(&mut stream, peer, detail),
                     };
-                    if let Some(complete) = complete {
+                    if let Some(chunks) = complete {
                         let Some(base) = worker.as_deref() else {
-                            let detail =
-                                "no reference set installed: seed this tenant with a full \
-                                 push before applying deltas"
-                                    .to_string();
-                            let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-                            return Err(NetError::Protocol {
-                                peer: peer.to_string(),
-                                detail,
-                            });
+                            let detail = "no reference set installed: seed this tenant with a \
+                                          full push before applying deltas";
+                            return refuse(&mut stream, peer, detail.into());
                         };
-                        let encoded: Vec<u8> = complete.chunks.concat();
+                        let encoded: Vec<u8> = chunks.concat();
                         let applied = ArtifactDelta::decode(&encoded).and_then(|parsed| {
                             parsed
                                 .apply(base.reference(), base.fingerprint)
@@ -611,11 +502,7 @@ impl TenantHost {
                                 // message names both fingerprints, and the
                                 // installed set is left untouched.
                                 let detail = format!("pushed delta did not apply: {e}");
-                                let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-                                return Err(NetError::Protocol {
-                                    peer: peer.to_string(),
-                                    detail,
-                                });
+                                return refuse(&mut stream, peer, detail);
                             }
                         }
                     }
@@ -628,8 +515,9 @@ impl TenantHost {
                             cells,
                         })
                         .write_to(&mut stream, peer)?;
+                        served += 1;
                     }
-                    None => return refuse_unseeded(&mut stream, peer),
+                    None => return refuse(&mut stream, peer, UNSEEDED.into()),
                 },
                 Ok(Frame::ScoreBatchRequest(batch)) => match &worker {
                     Some(w) => {
@@ -640,8 +528,9 @@ impl TenantHost {
                             .collect();
                         Frame::ScoreBatchResponse(ScoreBatchResponse { id: batch.id, rows })
                             .write_to(&mut stream, peer)?;
+                        served += 1;
                     }
-                    None => return refuse_unseeded(&mut stream, peer),
+                    None => return refuse(&mut stream, peer, UNSEEDED.into()),
                 },
                 Ok(Frame::Assign(assign)) => match &worker {
                     Some(w) => match w.validate_assignment(assign.classes) {
@@ -655,23 +544,22 @@ impl TenantHost {
                             return Err(e);
                         }
                     },
-                    None => return refuse_unseeded(&mut stream, peer),
+                    None => return refuse(&mut stream, peer, UNSEEDED.into()),
                 },
                 Ok(Frame::Shutdown) => return Ok(()),
                 Ok(unexpected) => {
                     let detail = format!("unexpected frame {unexpected:?} from client");
-                    let _ = Frame::Error(detail.clone()).write_to(&mut stream, peer);
-                    return Err(NetError::Protocol {
-                        peer: peer.to_string(),
-                        detail,
-                    });
+                    return refuse(&mut stream, peer, detail);
                 }
-                // Same quiet-close rules as `ShardWorker::serve_requests`.
+                // A clean EOF between frames is a client hangup, not an error.
                 Err(NetError::Io { ref source, .. })
                     if source.kind() == std::io::ErrorKind::UnexpectedEof =>
                 {
                     return Ok(());
                 }
+                // The idle deadline fired (see [`IDLE_TIMEOUT`]): the client
+                // is likely gone — close quietly, without an `Error` frame
+                // that nobody would read.
                 Err(NetError::Io { ref source, .. })
                     if matches!(
                         source.kind(),
@@ -689,10 +577,13 @@ impl TenantHost {
     }
 }
 
-/// Answer a scoring or assignment frame on an unseeded slot with a typed
-/// refusal.
-fn refuse_unseeded(stream: &mut (impl Transport + ?Sized), peer: &str) -> Result<(), NetError> {
-    let detail = "no reference set installed: push one before scoring".to_string();
+/// Why a scoring or assignment frame on an unseeded slot is refused.
+const UNSEEDED: &str = "no reference set installed: push one before scoring";
+
+/// End a conversation on a protocol violation: tell the client why in an
+/// `Error` frame (best effort — the connection closes either way) and
+/// return the typed error.
+fn refuse(stream: &mut impl Transport, peer: &str, detail: String) -> Result<(), NetError> {
     let _ = Frame::Error(detail.clone()).write_to(stream, peer);
     Err(NetError::Protocol {
         peer: peer.to_string(),
@@ -716,28 +607,28 @@ fn validate_classes(
     Ok(classes)
 }
 
-/// Serve `worker` on a TCP listener through the shared accept loop: one
-/// thread per connection, reads bounded by [`IDLE_TIMEOUT`] and writes by
-/// [`IO_TIMEOUT`](crate::shardnet::IO_TIMEOUT). Returns when the listener
-/// itself fails.
+/// Serve `worker` on a TCP listener as the default tenant of a
+/// [`TenantHost::single`], through [`serve_host_tcp`].
 pub fn serve_tcp(worker: Arc<ShardWorker>, listener: TcpListener) {
-    serve_listener(listener, "fhc-shardd", move |conn, peer| {
-        worker.serve_connection(conn, peer)
-    });
+    let host = TenantHost::single(Some(Arc::unwrap_or_clone(worker)));
+    serve_host_tcp(Arc::new(host), listener);
 }
 
-/// [`serve_tcp`] for a push-capable, multi-tenant [`TenantHost`], with the
-/// tenant registry shared across connections.
+/// Serve `host` on a TCP listener through the shared accept loop: one
+/// thread per connection running [`TenantHost::serve_requests`], reads
+/// bounded by [`IDLE_TIMEOUT`] and writes by
+/// [`IO_TIMEOUT`](crate::shardnet::IO_TIMEOUT), with the tenant registry
+/// shared across connections. Returns when the listener itself fails.
 pub fn serve_host_tcp(host: Arc<TenantHost>, listener: TcpListener) {
     serve_listener(listener, "fhc-shardd", move |conn, peer| {
-        host.serve_connection(conn, peer)
+        host.serve_requests(conn, peer, None)
     });
 }
 
 /// [`serve_host_tcp`] over a Unix-domain listener.
 pub fn serve_host_unix(host: Arc<TenantHost>, listener: UnixListener) {
     serve_listener(listener, "fhc-shardd", move |conn, peer| {
-        host.serve_connection(conn, peer)
+        host.serve_requests(conn, peer, None)
     });
 }
 
@@ -843,12 +734,23 @@ mod tests {
         }
     }
 
+    /// Serve `worker` as the default tenant over the in-memory `end`, with
+    /// an optional request budget.
+    fn serve(
+        worker: ShardWorker,
+        end: impl Transport + 'static,
+        limit: Option<u64>,
+    ) -> std::thread::JoinHandle<Result<(), NetError>> {
+        let host = TenantHost::single(Some(worker));
+        std::thread::spawn(move || host.serve_requests(end, "test", limit))
+    }
+
     #[test]
     fn serve_connection_answers_requests_and_honors_shutdown() {
         let rs = reference();
         let worker = ShardWorker::all_classes(rs.clone());
         let (client_end, worker_end) = duplex();
-        let server = std::thread::spawn(move || worker.serve_connection(worker_end, "test"));
+        let server = serve(worker, worker_end, None);
 
         let mut client = client_end;
         let hello = match Frame::read_from(&mut client, "worker").unwrap() {
@@ -880,7 +782,7 @@ mod tests {
         let rs = reference();
         let worker = ShardWorker::all_classes(rs.clone());
         let (client_end, worker_end) = duplex();
-        let server = std::thread::spawn(move || worker.serve_connection(worker_end, "test"));
+        let server = serve(worker, worker_end, None);
 
         let mut client = client_end;
         let _hello = Frame::read_from(&mut client, "worker").unwrap();
@@ -912,7 +814,7 @@ mod tests {
         let rs = reference();
         let worker = ShardWorker::all_classes(rs.clone());
         let (client_end, worker_end) = duplex();
-        let server = std::thread::spawn(move || worker.serve_connection(worker_end, "test"));
+        let server = serve(worker, worker_end, None);
 
         let mut client = client_end;
         let hello = match Frame::read_from(&mut client, "worker").unwrap() {
@@ -988,8 +890,8 @@ mod tests {
 
     #[test]
     fn an_idle_read_deadline_closes_the_connection_quietly() {
-        let worker = ShardWorker::all_classes(reference());
-        let result = worker.serve_connection(IdleStream { wrote: Vec::new() }, "idle client");
+        let host = TenantHost::single(Some(ShardWorker::all_classes(reference())));
+        let result = host.serve_requests(IdleStream { wrote: Vec::new() }, "idle client", None);
         assert!(
             result.is_ok(),
             "an idle timeout is a quiet close, got {result:?}"
@@ -1001,7 +903,7 @@ mod tests {
         let rs = reference();
         let worker = ShardWorker::all_classes(rs);
         let (client_end, worker_end) = duplex();
-        let server = std::thread::spawn(move || worker.serve_requests(worker_end, "test", Some(1)));
+        let server = serve(worker, worker_end, Some(1));
 
         let mut client = client_end;
         let _hello = Frame::read_from(&mut client, "worker").unwrap();

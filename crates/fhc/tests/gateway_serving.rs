@@ -7,8 +7,10 @@
 //! byte-identical to the in-process indexed backend — including from
 //! several client threads at once, which drives the gateway's batch
 //! coalescing; killing a shard daemon behind the gateway must surface as
-//! a typed error, not a wrong or partial prediction. This is the test CI
-//! runs explicitly so the gateway path cannot silently rot.
+//! a typed error, not a wrong or partial prediction. A gateway whose shard
+//! is a primary daemon plus a replica daemon must instead lose nothing
+//! when the primary dies: the fleet fails over. This is the test CI runs
+//! explicitly so the gateway path cannot silently rot.
 
 use corpus::{Catalog, CorpusBuilder};
 use fhc::backend::BackendConfig;
@@ -292,6 +294,77 @@ fn gateway_daemon_sheds_over_quota_clients_with_a_typed_overload() {
         throttled.try_classify(&bytes).expect("bucket refilled"),
         expected
     );
+
+    drop(guard);
+    std::fs::remove_file(&artifact).ok();
+}
+
+#[test]
+fn a_gateway_over_a_replicated_shard_survives_its_primary_daemon_dying() {
+    use fhc::shardnet::gateway::serve_tcp;
+    use fhc::shardnet::{FleetTopology, Gateway, GatewayOptions};
+    use std::net::TcpListener;
+
+    // Train once, small but real.
+    let corpus = CorpusBuilder::new(61).build(&Catalog::paper().scaled(0.02));
+    let config = FhcConfig::new().pipeline(PipelineConfig {
+        seed: 61,
+        forest: mlcore::forest::RandomForestParams {
+            n_estimators: 20,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let trained = FuzzyHashClassifier::with_config(config.clone())
+        .fit(&corpus)
+        .expect("fit succeeds");
+    let artifact =
+        std::env::temp_dir().join(format!("fhc-replica-test-{}.fhc", std::process::id()));
+    trained.save(&artifact).expect("save artifact");
+
+    // One shard served by two real daemons: a primary and its replica.
+    let (primary, primary_endpoint) = spawn_shardd(&artifact, 0, 1);
+    let (replica, replica_endpoint) = spawn_shardd(&artifact, 0, 1);
+    let mut guard = KillOnDrop(vec![primary, replica]);
+
+    // An in-process gateway fronting that shard, served on loopback.
+    let topology: FleetTopology = format!("{primary_endpoint};replica={replica_endpoint}")
+        .parse()
+        .expect("replicated topology");
+    let gateway = Gateway::connect(
+        trained.reference_shared(),
+        topology,
+        GatewayOptions::default(),
+    )
+    .expect("the gateway connects both daemons");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback gateway");
+    let front = Endpoint::Tcp(listener.local_addr().expect("gateway addr").to_string());
+    let gateway = Arc::new(gateway);
+    std::thread::spawn(move || serve_tcp(gateway, listener));
+    let spec: BackendConfig = format!("gateway:{front}").parse().expect("gateway spec");
+    let served = TrainedClassifier::load_with(&artifact, &config.backend(spec))
+        .expect("artifact opens against the gateway");
+
+    let batch: Vec<Vec<u8>> = corpus
+        .samples()
+        .iter()
+        .step_by(23)
+        .map(|s| corpus.generate_bytes(s))
+        .collect();
+    assert!(batch.len() >= 6, "need a real batch");
+    // Kill the primary halfway through: the fleet fails over to the
+    // replica, so not one query surfaces an error or a different answer.
+    let kill_at = batch.len() / 2;
+    for (i, bytes) in batch.iter().enumerate() {
+        if i == kill_at {
+            guard.0[0].kill().expect("kill the primary");
+            guard.0[0].wait().expect("reap the primary");
+        }
+        let prediction = served
+            .try_classify(bytes)
+            .unwrap_or_else(|e| panic!("query {i} surfaced an error: {e}"));
+        assert_eq!(prediction, trained.classify(bytes), "query {i} diverged");
+    }
 
     drop(guard);
     std::fs::remove_file(&artifact).ok();

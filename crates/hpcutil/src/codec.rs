@@ -108,15 +108,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Write a sequence of little-endian `u64`s with a `u32` count prefix
-    /// (used for precomputed window-key sets in classifier artifacts).
-    pub fn put_u64_seq(&mut self, values: &[u64]) {
-        self.put_u32(u32::try_from(values.len()).expect("sequence longer than u32::MAX items"));
-        for &v in values {
-            self.put_u64(v);
-        }
-    }
-
     /// Write a `u64` as a LEB128 variable-length integer (1–10 bytes; small
     /// values take one byte).
     pub fn put_uvarint(&mut self, mut v: u64) {
@@ -243,30 +234,6 @@ impl<'a> ByteReader<'a> {
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
         let len = self.get_u32()? as usize;
         Ok(self.take(len)?.to_vec())
-    }
-
-    /// Read a sequence of `u64`s written with [`ByteWriter::put_u64_seq`].
-    ///
-    /// The count is validated against the remaining input *before* any
-    /// allocation, so a corrupt length prefix fails cleanly instead of
-    /// attempting a huge reservation.
-    pub fn get_u64_seq(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.get_u32()? as usize;
-        let bytes = n.checked_mul(8).ok_or_else(|| {
-            CodecError::new(format!("u64 sequence count {n} overflows byte length"))
-        })?;
-        if self.remaining() < bytes {
-            return Err(CodecError::new(format!(
-                "u64 sequence of {n} items needs {bytes} bytes at offset {}, only {} remain",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(self.get_u64()?);
-        }
-        Ok(values)
     }
 
     /// Read a LEB128 variable-length `u64` written with
@@ -429,28 +396,6 @@ mod tests {
         let _ = r.get_u8();
         let _ = r.get_u8();
         assert!(r.expect_end().is_ok());
-    }
-
-    #[test]
-    fn u64_seq_roundtrips_and_rejects_bad_counts() {
-        let values = vec![0u64, 1, u64::MAX, 42];
-        let mut w = ByteWriter::new();
-        w.put_u64_seq(&values);
-        w.put_u64_seq(&[]);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u64_seq().unwrap(), values);
-        assert_eq!(r.get_u64_seq().unwrap(), Vec::<u64>::new());
-        assert!(r.expect_end().is_ok());
-
-        // A count prefix claiming far more items than the input holds must
-        // fail without allocating.
-        let mut w = ByteWriter::new();
-        w.put_u32(u32::MAX);
-        w.put_u64(7);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert!(r.get_u64_seq().is_err());
     }
 
     #[test]

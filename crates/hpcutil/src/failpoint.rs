@@ -43,7 +43,7 @@ pub const SITES: &[&str] = &[
     "mux.writer",
     "mux.reader",
     "remote.handshake",
-    "remote.redial",
+    "fleet.redial",
     "fleet.hedge",
     "fleet.push_slice",
     "fleet.delta_apply",

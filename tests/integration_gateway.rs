@@ -16,7 +16,7 @@ use fhc::serving::TrainedClassifier;
 use fhc::shardnet::{
     gateway, worker, Endpoint, FleetShard, FleetTopology, Gateway, GatewayOptions,
 };
-use fhc::shardnet::{NetError, ShardWorker, StaleWorkers};
+use fhc::shardnet::{NetError, ShardWorker, StaleWorkers, TenantHost};
 use fhc::similarity::ReferenceSet;
 use fhc::FhcError;
 use std::net::TcpListener;
@@ -33,19 +33,20 @@ fn dial(reference: &Arc<ReferenceSet>, front: &Endpoint) -> fhc::backend::AnyBac
 /// assigns the round-robin partition at connect). With `Some(limit)` the
 /// worker accepts exactly one connection, answers `limit` requests on it,
 /// and then drops its listener entirely — it is truly dead afterwards, so
-/// the gateway's re-dial on the next query is refused rather than healed.
+/// the gateway's redial on a later query is refused rather than healed.
 fn spawn_workers(reference: &Arc<ReferenceSet>, n: usize, limit: Option<u64>) -> Vec<Endpoint> {
     (0..n)
         .map(|_| {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback worker");
             let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
-            let shard = Arc::new(ShardWorker::all_classes(Arc::clone(reference)));
+            let shard = ShardWorker::all_classes(Arc::clone(reference));
             std::thread::spawn(move || match limit {
-                None => worker::serve_tcp(shard, listener),
+                None => worker::serve_tcp(Arc::new(shard), listener),
                 Some(limit) => {
                     if let Ok((stream, _)) = listener.accept() {
                         drop(listener);
-                        let _ = shard.serve_requests(stream, "loopback", Some(limit));
+                        let host = TenantHost::single(Some(shard));
+                        let _ = host.serve_requests(stream, "loopback", Some(limit));
                     }
                 }
             });
@@ -59,7 +60,7 @@ fn spawn_workers(reference: &Arc<ReferenceSet>, n: usize, limit: Option<u64>) ->
 fn spawn_gateway(reference: &Arc<ReferenceSet>, worker_endpoints: &[Endpoint]) -> Endpoint {
     let gw = Gateway::connect(
         Arc::clone(reference),
-        worker_endpoints,
+        FleetTopology::replica_less(worker_endpoints.iter().cloned()),
         GatewayOptions::default(),
     )
     .expect("gateway connects its fleet");
@@ -251,8 +252,8 @@ fn stored_artifact_opens_unchanged_behind_a_gateway() {
 
 /// A shard worker killed behind the gateway surfaces to the client as a
 /// typed network error — the gateway must relay the loss, not invent a
-/// row. The dead worker's listener is gone too, so the gateway's
-/// re-dial-on-poison cannot heal it (contrast with
+/// row. The dead worker's listener is gone too, so the gateway's redial
+/// cannot heal it (contrast with
 /// `a_lost_shard_connection_heals_behind_the_gateway`).
 #[test]
 fn a_killed_worker_behind_the_gateway_is_a_typed_error() {

@@ -22,8 +22,8 @@ use fhc::pipeline::{FuzzyHashClassifier, PipelineConfig};
 use fhc::serving::TrainedClassifier;
 use fhc::shardnet::wire::{self, Frame};
 use fhc::shardnet::{
-    worker, Endpoint, FleetBackend, FleetShard, FleetTopology, Gateway, GatewayOptions, NetError,
-    ShardWorker, StaleWorkers, TenantHost,
+    gateway, worker, Endpoint, FleetBackend, FleetShard, FleetTopology, Gateway, GatewayOptions,
+    NetError, ShardWorker, TenantHost,
 };
 use fhc::similarity::ReferenceSet;
 use fhc::FhcError;
@@ -33,11 +33,7 @@ use std::sync::Arc;
 /// Connect the `remote:` fleet over `endpoints`: one replica-less shard
 /// per endpoint, in order.
 fn remote(reference: &Arc<ReferenceSet>, endpoints: &[Endpoint]) -> Result<FleetBackend, NetError> {
-    let shards = endpoints.iter().cloned().map(FleetShard::solo).collect();
-    let topology = FleetTopology {
-        stale: StaleWorkers::Refuse,
-        ..FleetTopology::new(shards)
-    };
+    let topology = FleetTopology::replica_less(endpoints.iter().cloned());
     FleetBackend::connect(Arc::clone(reference), topology)
 }
 
@@ -66,9 +62,9 @@ fn spawn_partitioned_workers(
         .map(|classes| {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
             let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
-            let worker = Arc::new(
+            let worker = Arc::new(TenantHost::single(Some(
                 ShardWorker::new(Arc::clone(reference), classes.clone()).expect("valid classes"),
-            );
+            )));
             std::thread::spawn(move || match limit {
                 None => {
                     for stream in listener.incoming() {
@@ -286,7 +282,8 @@ fn a_batchless_worker_is_refused_with_a_typed_handshake_error() {
         }
         other => panic!("expected a batch-scoring handshake refusal, got {other:?}"),
     }
-    match Gateway::connect(reference.clone(), &batchless, GatewayOptions::default()) {
+    let topology = FleetTopology::replica_less(batchless);
+    match Gateway::connect(reference.clone(), topology, GatewayOptions::default()) {
         Err(NetError::Handshake { detail, .. }) => {
             assert!(detail.contains("batch"), "got: {detail}");
         }
@@ -521,33 +518,42 @@ fn remote_seeds_diskless_workers_but_refuses_to_replace_another_artifact() {
     assert_eq!(served, expected);
 }
 
-#[test]
-fn mixed_partitions_that_do_not_cover_are_rejected() {
-    let reference = hand_built_reference(4);
-    // Two workers both claiming class 0 (and nobody serving 2, 3): the
-    // gateway's shard side keeps advertised partitions, so it refuses them.
-    let endpoints = spawn_partitioned_workers(&reference, &[vec![0, 1], vec![0]], None);
-    match Gateway::connect(reference, &endpoints, GatewayOptions::default()) {
-        Err(NetError::Partition(detail)) => {
-            assert!(detail.contains("exactly once"), "got: {detail}");
-        }
-        other => panic!("expected a partition error, got {other:?}"),
-    }
-}
-
+/// One partition rule for every client: two workers both claiming class 0
+/// (and nobody serving 2 or 3) are re-dealt the round-robin partition over
+/// the wire by a `remote:` fleet and by the gateway's shard side alike,
+/// and both answer byte-identically to the scan oracle.
 #[test]
 fn mixed_partitions_that_do_not_cover_are_re_dealt_by_a_fleet() {
     let reference = hand_built_reference(4);
-    // The same overlapping partitions: a fleet deals its own round-robin
-    // partition instead, and the rows match the scan oracle.
     let endpoints = spawn_partitioned_workers(&reference, &[vec![0, 1], vec![0]], None);
     let remote = remote(&reference, &endpoints).expect("connect re-deals");
     assert_eq!(member_classes(&remote), round_robin_partition(4, 2));
+
+    let gw = Gateway::connect(
+        Arc::clone(&reference),
+        FleetTopology::replica_less(endpoints),
+        GatewayOptions::default(),
+    )
+    .expect("the gateway re-deals too");
+    assert_eq!(gw.n_shards(), 2);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback gateway");
+    let front = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+    let gw = Arc::new(gw);
+    std::thread::spawn(move || gateway::serve_tcp(gw, listener));
+    let via_gateway = BackendConfig::remote([front])
+        .try_build(Arc::clone(&reference))
+        .expect("dial gateway");
+
     let scan = BackendConfig::Scan.build(reference);
     for probe in &probes() {
+        let expected = bits(&scan.feature_vector_prepared(probe));
         assert_eq!(
             bits(&remote.try_feature_vector_prepared(probe).unwrap()),
-            bits(&scan.feature_vector_prepared(probe))
+            expected
+        );
+        assert_eq!(
+            bits(&via_gateway.try_feature_vector_prepared(probe).unwrap()),
+            expected
         );
     }
 }
