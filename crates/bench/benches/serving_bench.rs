@@ -562,11 +562,13 @@ fn bench_classify_batch(c: &mut Criterion) {
         FleetView::connect(
             reference.clone(),
             FleetTopology::new(vec![FleetShard::solo(upgradeable.clone())]),
+            None,
         )
         .expect("reset the worker to the base set by full push");
         let view = FleetView::connect(
             target.clone(),
             FleetTopology::new(vec![FleetShard::solo(healthy.clone())]),
+            None,
         )
         .expect("target fleet connects");
         if with_delta {

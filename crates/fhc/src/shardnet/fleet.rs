@@ -27,11 +27,11 @@
 //!   immediately, without waiting for the hedge deadline.
 //! - **Live re-partitioning** ([`FleetView::admit`] /
 //!   [`FleetView::evict`]): joining or leaving workers re-deal the classes
-//!   round-robin through the existing `Assign` frame. The exact-cover
-//!   invariant is checked *before* cutover and the member list is swapped
-//!   atomically: queries already in flight finish on the old view, new
-//!   queries see the new one, and a failed repartition leaves the old
-//!   fleet untouched.
+//!   round-robin through the existing `Assign` frame — an exact cover by
+//!   construction — and every node is brought to its new partition before
+//!   the member list is swapped atomically: queries already in flight
+//!   finish on the old view, new queries see the new one, and a failed
+//!   repartition leaves the old fleet untouched.
 //! - **Reference push** ([`wire::PushSlice`]): a diskless worker — started
 //!   with no artifact — is seeded over the wire with per-class slices cut
 //!   by [`ReferenceSet::encode_slice`], so it joins holding only its
@@ -48,7 +48,7 @@
 //!   unexpected base) falls back to the full push on a fresh dial, so the
 //!   delta path is strictly an optimization, never a new failure mode.
 //! - **Tenants**: a fleet built over a non-default tenant selects it on
-//!   every dial and redial ([`FleetView::connect_tenant`]); a worker
+//!   every dial and redial ([`FleetView::connect`]); a worker
 //!   answering for the wrong tenant surfaces as the typed
 //!   [`NetError::Tenant`], never as a silent empty row.
 //!
@@ -65,8 +65,8 @@ use crate::backend::{round_robin_partition, SimilarityBackend};
 use crate::error::FhcError;
 use crate::features::PreparedSampleFeatures;
 use crate::shardnet::remote::{
-    assign_partition, is_exact_cover, merge_partial_row, net_error_from_mux, read_hello,
-    require_batch, select_tenant, spawn_mux, validate_hello, HandshakeExpect, CLIENT_BATCH,
+    assign_partition, merge_partial_row, net_error_from_mux, read_hello, require_batch,
+    select_tenant, spawn_mux, validate_hello, HandshakeExpect, CLIENT_BATCH,
 };
 use crate::shardnet::wire::{self, ClientReply, Frame, Hello};
 use crate::shardnet::{Endpoint, NetError, SplitConn};
@@ -533,7 +533,8 @@ pub struct FleetView {
 }
 
 impl FleetView {
-    /// Connect the whole topology under the default clock and backoff.
+    /// Connect the whole topology, selecting `tenant` on every dial and
+    /// redial (`None` expects the default tenant).
     ///
     /// Classes are dealt round-robin across the shards; every node of a
     /// shard (primary and replicas) is dialed, handshaken against
@@ -541,46 +542,23 @@ impl FleetView {
     /// and, if it is a diskless or stale worker advertising
     /// [`wire::FEATURE_REFERENCE_PUSH`], seeded with its partition's
     /// slices first. Any unreachable node fails the connect; the fleet
-    /// heals *after* it is up, it does not start degraded.
+    /// heals *after* it is up, it does not start degraded. Down nodes are
+    /// redialed on the topology's [`FleetTuning::backoff`] schedule.
     pub fn connect(
         reference: Arc<ReferenceSet>,
         topology: FleetTopology,
+        tenant: Option<&str>,
     ) -> Result<Self, NetError> {
-        let backoff = topology.tuning.backoff;
-        Self::connect_with(reference, topology, Arc::new(SystemClock), backoff)
+        Self::connect_with_clock(reference, topology, tenant, Arc::new(SystemClock))
     }
 
-    /// [`FleetView::connect`] against a named tenant: every dial and
-    /// redial selects `tenant` on the worker's
-    /// [`TenantHost`](crate::shardnet::TenantHost) before handshaking.
-    /// `None` expects the default tenant.
-    pub fn connect_tenant(
+    /// [`FleetView::connect`] under an explicit clock (tests inject a
+    /// manual clock here to schedule redials exactly).
+    pub(crate) fn connect_with_clock(
         reference: Arc<ReferenceSet>,
         topology: FleetTopology,
         tenant: Option<&str>,
-    ) -> Result<Self, NetError> {
-        let backoff = topology.tuning.backoff;
-        Self::connect_with_tenant(reference, topology, Arc::new(SystemClock), backoff, tenant)
-    }
-
-    /// [`FleetView::connect`] with an explicit clock and backoff policy
-    /// (tests inject a manual clock here to schedule redials exactly).
-    pub fn connect_with(
-        reference: Arc<ReferenceSet>,
-        topology: FleetTopology,
         clock: Arc<dyn FleetClock>,
-        backoff: BackoffPolicy,
-    ) -> Result<Self, NetError> {
-        Self::connect_with_tenant(reference, topology, clock, backoff, None)
-    }
-
-    /// The fully-explicit constructor: clock, backoff, and tenant.
-    pub fn connect_with_tenant(
-        reference: Arc<ReferenceSet>,
-        topology: FleetTopology,
-        clock: Arc<dyn FleetClock>,
-        backoff: BackoffPolicy,
-        tenant: Option<&str>,
     ) -> Result<Self, NetError> {
         let expect = HandshakeExpect {
             fingerprint: reference.fingerprint(),
@@ -593,7 +571,7 @@ impl FleetView {
             reference,
             expect,
             clock,
-            backoff,
+            backoff: topology.tuning.backoff,
             stale: topology.stale,
             topology: Mutex::new(topology),
             members: RwLock::new(members),
@@ -658,8 +636,8 @@ impl FleetView {
     }
 
     /// Admit `shard` into the fleet and re-partition: the classes are
-    /// re-dealt over all shards (old and new), the exact-cover invariant
-    /// is checked, every node is brought to its new partition — pushed
+    /// re-dealt over all shards (old and new), every node is brought to
+    /// its new partition — pushed
     /// nodes are re-seeded with their new slices — and only then is the
     /// member list cut over. On any failure the old fleet keeps serving
     /// unchanged.
@@ -793,7 +771,7 @@ impl FleetView {
                 }
             }
         }
-        Ok(mux.submit(id, bytes.to_vec()))
+        Ok(mux.submit(id, bytes))
     }
 
     /// Start racing `bytes` across a member's nodes: fire the preferred
@@ -934,8 +912,6 @@ impl HedgedRequest {
 
 /// Dial, handshake, partition, and mux every node of every shard — the
 /// shared machinery of [`FleetView::connect`] and the repartition paths.
-/// The exact-cover invariant over the dealt partition is asserted before
-/// any connection is made.
 fn build_members(
     reference: &ReferenceSet,
     expect: &HandshakeExpect,
@@ -949,16 +925,6 @@ fn build_members(
         ));
     }
     let partition = round_robin_partition(reference.n_classes(), shards.len());
-    if !is_exact_cover(
-        reference.n_classes(),
-        partition.iter().map(|c| c.as_slice()),
-    ) {
-        return Err(NetError::Partition(format!(
-            "fleet partition over {} shards does not cover every one of {} classes exactly once",
-            shards.len(),
-            reference.n_classes()
-        )));
-    }
     shards
         .iter()
         .zip(partition)
@@ -1288,18 +1254,17 @@ impl FleetBackend {
         reference: Arc<ReferenceSet>,
         topology: FleetTopology,
     ) -> Result<Self, NetError> {
-        let view = FleetView::connect(Arc::clone(&reference), topology)?;
-        Ok(Self::over(reference, Arc::new(view)))
+        Self::connect_tenant(reference, topology, None)
     }
 
     /// [`FleetBackend::connect`] against a named tenant; see
-    /// [`FleetView::connect_tenant`].
+    /// [`FleetView::connect`].
     pub fn connect_tenant(
         reference: Arc<ReferenceSet>,
         topology: FleetTopology,
         tenant: Option<&str>,
     ) -> Result<Self, NetError> {
-        let view = FleetView::connect_tenant(Arc::clone(&reference), topology, tenant)?;
+        let view = FleetView::connect(Arc::clone(&reference), topology, tenant)?;
         Ok(Self::over(reference, Arc::new(view)))
     }
 
@@ -1750,11 +1715,8 @@ mod tests {
             .admit(FleetShard::solo(second))
             .expect("admit");
         let members = backend.view().members();
-        assert_eq!(members.len(), 2);
-        assert!(is_exact_cover(
-            rs.n_classes(),
-            members.iter().map(|m| m.classes())
-        ));
+        let classes: Vec<Vec<usize>> = members.iter().map(|m| m.classes().to_vec()).collect();
+        assert_eq!(classes, round_robin_partition(rs.n_classes(), 2));
         assert_eq!(
             backend.try_feature_rows_prepared(&queries).expect("rows"),
             expected
@@ -2096,14 +2058,16 @@ mod tests {
         });
 
         let clock = Arc::new(ManualClock::new());
-        let view = FleetView::connect_with(
+        let mut topology = FleetTopology::new(vec![FleetShard::solo(Endpoint::Tcp(addr))]);
+        topology.tuning.backoff = BackoffPolicy {
+            base: Duration::from_secs(60),
+            cap: Duration::from_secs(600),
+        };
+        let view = FleetView::connect_with_clock(
             Arc::clone(&rs),
-            FleetTopology::new(vec![FleetShard::solo(Endpoint::Tcp(addr))]),
+            topology,
+            None,
             Arc::clone(&clock) as Arc<dyn FleetClock>,
-            BackoffPolicy {
-                base: Duration::from_secs(60),
-                cap: Duration::from_secs(600),
-            },
         )
         .expect("connect");
         let backend = FleetBackend::over(Arc::clone(&rs), Arc::new(view));

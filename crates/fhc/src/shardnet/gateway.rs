@@ -25,12 +25,14 @@
 //! primary endpoint plus any replicas. Each member is driven by one
 //! **batcher** thread (drains that shard's job queue, packs up to
 //! [`GatewayOptions::max_batch`] queries into one batch frame, and starts
-//! it on the member with `FleetView::start_request`) and one
+//! it on the member with `FleetView::start_request`, which writes the
+//! frame to the node's socket on the batcher's own thread) and one
 //! **distributor** thread (drives the started requests to their winning
 //! replies in submission order and hands each partial row back to the
-//! query that asked for it). Because starting never waits for a reply, a
-//! batch is on the wire while the previous one is still being scored —
-//! the shard sockets stay full.
+//! query that asked for it). Each node connection adds just its mux's
+//! reader thread, which routes replies to the distributor. Because
+//! starting never waits for a reply, a batch is on the wire while the
+//! previous one is still being scored — the shard sockets stay full.
 //!
 //! Client connections are served pipelined the same way: a reader thread
 //! submits every incoming query to the shard queues the moment it is
@@ -367,7 +369,7 @@ impl std::fmt::Debug for Gateway {
 
 impl Gateway {
     /// Connect the shard fleet declared by `topology` (see
-    /// [`FleetView::connect_tenant`]) and spawn one batching pipeline per
+    /// [`FleetView::connect`]) and spawn one batching pipeline per
     /// member. A worker that fails the handshake — including one without
     /// batch scoring — is a typed [`NetError::Handshake`]. The classes are
     /// dealt round-robin over the shards in topology order and assigned
@@ -407,7 +409,7 @@ impl Gateway {
             });
         }
         let admission = Arc::new(Admission::from_options(&options, &tenant, Instant::now()));
-        let view = Arc::new(FleetView::connect_tenant(
+        let view = Arc::new(FleetView::connect(
             Arc::clone(&reference),
             topology,
             options.tenant.as_deref(),

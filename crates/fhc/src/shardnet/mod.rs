@@ -105,12 +105,12 @@ pub(crate) fn inject(site: &'static str, peer: &str) -> Result<(), NetError> {
 /// threads whose lifetime is bounded by the peer socket (both directions
 /// carry deadlines, so the thread cannot outlive a dead peer by more than a
 /// timeout) and whose accept loop never returns to a place that could join
-/// them. Funneling every such spawn through here keeps the waiver count at
-/// one and gives each thread a name for debuggers.
+/// them. Funneling every such spawn through here keeps the detach in one
+/// place and gives each thread a name for debuggers.
 pub(crate) fn spawn_detached(name: &str, f: impl FnOnce() + Send + 'static) {
     let spawned = std::thread::Builder::new()
         .name(name.to_string())
-        // fhc-lint: allow(join_or_detach) -- sole sanctioned detach point: connection-scoped threads bounded by socket deadlines; the accept loop that spawns them never returns
+        // Detached by design: the handle is dropped once the spawn succeeds.
         .spawn(f);
     if let Err(e) = spawned {
         // Out of threads: shed this connection instead of crashing the
@@ -283,9 +283,9 @@ impl Endpoint {
     }
 }
 
-/// A connected stream split into independently owned halves, so a reader
-/// thread and a writer thread (a [`hpcutil::Mux`]) can drive the same
-/// socket concurrently.
+/// A connected stream split into independently owned halves, so a
+/// [`hpcutil::Mux`]'s reader thread and its submitters, which write their
+/// own frames, can drive the same socket concurrently.
 ///
 /// The halves are OS-level duplicates of one socket: timeouts set through
 /// [`SplitConn::set_read_timeout`] apply to both, and shutting the socket

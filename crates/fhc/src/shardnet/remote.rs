@@ -184,22 +184,6 @@ pub(crate) fn require_batch(peer: &str, hello: &Hello) -> Result<(), NetError> {
     })
 }
 
-/// Whether the class lists cover `0..n_classes` exactly once each.
-pub(crate) fn is_exact_cover<'a>(
-    n_classes: usize,
-    lists: impl Iterator<Item = &'a [usize]>,
-) -> bool {
-    let mut seen = vec![false; n_classes];
-    for list in lists {
-        for &class in list {
-            if class >= n_classes || std::mem::replace(&mut seen[class], true) {
-                return false;
-            }
-        }
-    }
-    seen.into_iter().all(|s| s)
-}
-
 /// Select `tenant` on a freshly handshaken connection: send a client
 /// [`Hello`] naming it and return the tenant's own greeting. A worker
 /// rejection (an `Error` frame — the unknown-tenant path) and a greeting
@@ -295,23 +279,6 @@ mod tests {
             matches!(wide, Err(NetError::Protocol { .. })),
             "got {wide:?}"
         );
-    }
-
-    #[test]
-    fn exact_cover_detection() {
-        let a: &[usize] = &[0, 2];
-        let b: &[usize] = &[1];
-        assert!(is_exact_cover(3, [a, b].into_iter()));
-        // Missing class.
-        assert!(!is_exact_cover(3, [a].into_iter()));
-        // Duplicate class.
-        let c: &[usize] = &[2, 1];
-        assert!(!is_exact_cover(3, [a, c].into_iter()));
-        // Out of range.
-        let d: &[usize] = &[3];
-        assert!(!is_exact_cover(3, [d].into_iter()));
-        // Zero classes: trivially covered by nothing.
-        assert!(is_exact_cover(0, std::iter::empty()));
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //!
 //! Waivers: `// fhc-lint: allow(rule_name) -- reason` on the flagged line or
 //! on its own line directly above. The reason is mandatory; a malformed
-//! waiver is itself a (non-waivable) violation, and waivers are counted in
+//! waiver, and a stale one that suppresses no violation, are themselves
+//! (non-waivable) `waiver_syntax` violations, and waivers are counted in
 //! the summary so creep stays visible in CI.
 
 use std::fmt;
@@ -85,7 +86,7 @@ pub const RULES: [RuleInfo; 8] = [
     RuleInfo {
         id: "W0",
         name: "waiver_syntax",
-        summary: "fhc-lint waivers must name a known rule and give a reason",
+        summary: "fhc-lint waivers must name a known rule, give a reason, and suppress a violation",
     },
 ];
 
@@ -795,19 +796,33 @@ pub fn lint_source_with(path: &str, src: &str, rules: RuleSet) -> FileReport {
     // standalone, the next source line — chains of standalone waivers all
     // resolve to the first code line below them.
     let mut waiver_count = 0usize;
+    let mut used = vec![false; lexed.waivers.len()];
     for v in &mut out {
         if v.rule.name == "waiver_syntax" {
             continue;
         }
-        let covered = lexed.waivers.iter().find(|w| {
+        let covered = lexed.waivers.iter().position(|w| {
             w.rule == v.rule.name
                 && (w.comment_line == v.line
                     || (w.standalone && waiver_target(&lexed, w) == Some(v.line)))
         });
-        if let Some(w) = covered {
-            v.waived = Some(w.reason.clone());
+        if let Some(i) = covered {
+            v.waived = Some(lexed.waivers[i].reason.clone());
+            used[i] = true;
             waiver_count += 1;
         }
+    }
+    // A waiver that suppresses nothing is stale: the code it excused was
+    // fixed or moved, and leaving it would pre-excuse the next violation
+    // that lands on its line.
+    for (w, _) in lexed.waivers.iter().zip(&used).filter(|(_, &used)| !used) {
+        out.push(Violation {
+            rule: &RULES[7],
+            path: path.to_string(),
+            line: w.comment_line,
+            message: format!("stale waiver: allow({}) suppresses no violation", w.rule),
+            waived: None,
+        });
     }
     FileReport {
         violations: out,

@@ -72,6 +72,24 @@ fn r3_accepts_clean_fixture() {
 }
 
 #[test]
+fn w0_catches_stale_waivers() {
+    // A waiver over a bound spawn handle and one trailing code that no
+    // longer panics: both suppress nothing.
+    let stale: Vec<_> = lint_fixture("w0_stale_waiver_violating.rs")
+        .into_iter()
+        .filter(|v| v.rule.name == "waiver_syntax")
+        .collect();
+    assert_eq!(stale.len(), 2, "{stale:#?}");
+    assert!(stale
+        .iter()
+        .all(|v| v.waived.is_none() && v.message.contains("suppresses no violation")));
+    assert_eq!(
+        stale.iter().map(|v| v.line).collect::<Vec<_>>(),
+        vec![8, 16]
+    );
+}
+
+#[test]
 fn r4_catches_violating_fixture() {
     // Plain discard, builder-chain discard, and `let _ =` discard.
     assert_eq!(

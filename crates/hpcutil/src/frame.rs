@@ -90,9 +90,11 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, tag: u8, payload: &[u8]) -> io:
 /// to many peers — so the `frame.write` failpoint lives here.
 pub fn write_assembled_frame<W: Write + ?Sized>(w: &mut W, frame: &[u8]) -> io::Result<()> {
     // Failpoint: mutate or abort the fully-assembled (already checksummed)
-    // frame, so injected corruption is always *detectable* corruption —
-    // the receiver sees a checksum mismatch or a torn stream, never a
-    // plausible frame with wrong bytes.
+    // frame, so injected corruption is never a plausible frame with wrong
+    // bytes. A corrupted tag, payload or checksum byte is a checksum
+    // mismatch and a truncation a torn stream, but a corrupted length
+    // prefix can leave the receiver waiting for bytes that never come:
+    // that is caught only by its reply deadline, as a stall.
     match crate::failpoint::hit("frame.write") {
         None => {}
         Some(crate::failpoint::Fault::CorruptByte(i)) if !frame.is_empty() => {

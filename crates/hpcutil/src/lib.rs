@@ -17,9 +17,10 @@
 //!   persist trained models as versioned on-disk artifacts.
 //! * [`frame`] — checksummed, length-prefixed frames over byte streams,
 //!   the transport layer under the distributed shard-serving protocol.
-//! * [`mux`] — a thread-based connection multiplexer: many caller threads
-//!   pipeline request/reply frames over one stream, correlated by request
-//!   id, with no mutex held across a round trip.
+//! * [`mux`] — a connection multiplexer with one reader thread: many
+//!   caller threads write their own request frames and pipeline over one
+//!   stream, correlated by request id, with no mutex held across a round
+//!   trip.
 //! * [`failpoint`] — deterministic fault injection behind the `failpoints`
 //!   feature: named sites in the transport layers where chaos tests inject
 //!   I/O errors, delays, corruption, truncation, and dropped connections

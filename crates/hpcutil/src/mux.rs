@@ -1,31 +1,37 @@
-//! A thread-based connection multiplexer: many callers, one stream.
+//! A connection multiplexer: many callers, one stream, one reader thread.
 //!
 //! [`par`](crate::par) parallelizes compute; this module parallelizes
 //! *conversations*. A [`Mux`] owns one bidirectional stream (typically a
-//! socket already past its application handshake) and runs two dedicated
-//! threads over it:
+//! socket already past its application handshake):
 //!
-//! * the **writer** thread drains a queue of pre-encoded frames and puts
-//!   them on the wire with as few syscalls as possible — consecutive queued
-//!   frames are coalesced into a single `write_all`;
-//! * the **reader** thread incrementally reassembles [`frame`](crate::frame)s
-//!   from the stream and routes each decoded reply to the caller that asked
-//!   for it, by the request id the caller-supplied decode function extracts
-//!   from the payload.
+//! * each **submitter** writes its own pre-encoded frame on its own
+//!   thread, as one `write_all` under a lock around the write half, so
+//!   frames never interleave;
+//! * one dedicated **reader** thread incrementally reassembles
+//!   [`frame`](crate::frame)s from the stream and routes each decoded reply
+//!   to the caller that asked for it, by the request id the caller-supplied
+//!   decode function extracts from the payload.
 //!
 //! Callers interact through [`Mux::submit`]: hand over the complete wire
 //! bytes of a request, get a [`PendingReply`] back, and
 //! [`PendingReply::wait`] for the decoded response. Any number of threads
 //! may submit concurrently; their requests *pipeline* over the single
-//! stream instead of serializing around a connection mutex, and no caller
-//! ever holds a lock across a round trip.
+//! stream, and no caller ever holds a lock across a round trip — only
+//! across its own write. The reader drains replies independently of the
+//! submitters, so a peer blocked writing its replies cannot deadlock a
+//! submitter.
+//!
+//! Backpressure: a peer (or network) that stops reading blocks submitters
+//! once the kernel's send buffer is full. The stream's write timeout then
+//! fails the blocked write, which poisons the mux like any transport
+//! failure and unblocks everyone with a typed error.
 //!
 //! Failure is sticky: the first transport, framing, decode, or stall error
 //! **poisons** the multiplexer. Every in-flight and future request fails
 //! with (a clone of) the same [`MuxError`], and the closer hook supplied at
-//! spawn is invoked so a thread blocked in `read` on the same stream is
-//! woken — for sockets, a `shutdown`. A poisoned mux never hands out data
-//! from a stream whose framing can no longer be trusted.
+//! spawn is invoked so a thread blocked in `read` or `write` on the same
+//! stream is woken — for sockets, a `shutdown`. A poisoned mux never hands
+//! out data from a stream whose framing can no longer be trusted.
 //!
 //! Stall detection: the reader performs raw `read` calls into a reassembly
 //! buffer, so a socket read timeout does not tear a frame — it simply wakes
@@ -48,9 +54,6 @@ const HEADER_LEN: usize = 5;
 const CHECKSUM_LEN: usize = 8;
 /// Read granularity of the reader thread's reassembly loop.
 const READ_CHUNK: usize = 64 * 1024;
-/// The writer stops coalescing queued frames once the pending write grows
-/// past this size, bounding latency and memory per syscall.
-const WRITE_COALESCE_LIMIT: usize = 256 * 1024;
 
 /// Why a multiplexed request failed. Cloneable so one connection failure
 /// can fan out to every caller that had a request in flight.
@@ -68,7 +71,7 @@ pub enum MuxErrorKind {
     Remote,
     /// An in-flight request outlived the reply deadline.
     Stalled,
-    /// The multiplexer was dropped (or its writer thread is gone).
+    /// The multiplexer was dropped.
     Closed,
 }
 
@@ -141,7 +144,7 @@ impl Default for MuxOptions {
 const ABANDONED_LIMIT: usize = 1024;
 
 /// What a waiter receives: the reply (or the connection's failure) and
-/// when the I/O thread delivered it.
+/// when the reader thread delivered it.
 type Delivery<R> = (Result<R, MuxError>, Instant);
 
 /// Book-keeping protected by one short-lived lock: requests awaiting a
@@ -180,7 +183,8 @@ impl<R> Shared<R> {
     }
 
     /// Record the first error, fail every in-flight request with it, and
-    /// fire the closer hook (once) to unblock the other I/O thread.
+    /// fire the closer hook (once) to unblock the reader and any blocked
+    /// submitter.
     fn poison(&self, err: MuxError) {
         let (err, drained) = {
             let mut st = self.lock();
@@ -257,18 +261,14 @@ impl<R> Shared<R> {
 ///
 /// `R` is the decoded reply type produced by the decode function given to
 /// [`Mux::spawn`]. Dropping the mux closes the stream, fails all in-flight
-/// requests with [`MuxErrorKind::Closed`], and joins both I/O threads.
+/// requests with [`MuxErrorKind::Closed`], and joins the reader thread.
 pub struct Mux<R> {
     shared: Arc<Shared<R>>,
-    write_tx: Option<SyncSender<Vec<u8>>>,
-    threads: Vec<JoinHandle<()>>,
+    /// The write half. Its lock is held only across one frame's write,
+    /// never across a poison (which fires the closer).
+    writer: Mutex<Box<dyn Write + Send>>,
+    reader: Option<JoinHandle<()>>,
 }
-
-/// Bound on the writer thread's frame queue. A peer (or network) that stops
-/// draining writes eventually blocks submitters here instead of letting the
-/// queue grow without limit; the socket write deadline then converts a hard
-/// stall into a poison, which unblocks everyone with a typed error.
-const WRITE_QUEUE_DEPTH: usize = 1024;
 
 impl<R> std::fmt::Debug for Mux<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -282,7 +282,7 @@ impl<R> std::fmt::Debug for Mux<R> {
 
 impl<R: Send + 'static> Mux<R> {
     /// Take ownership of the two halves of a connected stream and start the
-    /// writer and reader threads.
+    /// reader thread.
     ///
     /// `decode` turns one verified frame (tag + payload) into
     /// `(request id, reply)`; returning an error poisons the mux with it —
@@ -293,8 +293,8 @@ impl<R: Send + 'static> Mux<R> {
     /// stream (for sockets: `shutdown`); it is called at most once, on
     /// poison or drop, and must be idempotent-safe.
     ///
-    /// Fails with [`MuxErrorKind::Io`] if an I/O thread cannot be spawned
-    /// (resource exhaustion); the half-started mux is torn down cleanly.
+    /// Fails with [`MuxErrorKind::Io`] if the reader thread cannot be
+    /// spawned (resource exhaustion); the stream halves are dropped.
     pub fn spawn<D>(
         peer: impl Into<String>,
         reader: Box<dyn Read + Send>,
@@ -318,46 +318,26 @@ impl<R: Send + 'static> Mux<R> {
             closed: AtomicBool::new(false),
             peer: peer.into(),
         });
-        let (write_tx, write_rx) = sync_channel::<Vec<u8>>(WRITE_QUEUE_DEPTH);
-        let writer_shared = Arc::clone(&shared);
         let reader_shared = Arc::clone(&shared);
-        let writer_thread = std::thread::Builder::new()
-            .name("mux-writer".into())
-            .spawn(move || writer_loop(writer, &write_rx, &writer_shared))
-            .map_err(|e| {
-                MuxError::new(MuxErrorKind::Io, format!("spawning the mux writer: {e}"))
-            })?;
-        let reader_thread = match std::thread::Builder::new()
+        let reader = std::thread::Builder::new()
             .name("mux-reader".into())
             .spawn(move || reader_loop(reader, &reader_shared, &decode, options))
-        {
-            Ok(handle) => handle,
-            Err(e) => {
-                // Unwind the half-started mux: closing the queue stops the
-                // writer, the closer hook releases the stream.
-                drop(write_tx);
-                shared.poison(MuxError::new(
-                    MuxErrorKind::Closed,
-                    "mux spawn aborted before the reader thread started",
-                ));
-                let _ = writer_thread.join();
-                return Err(MuxError::new(
-                    MuxErrorKind::Io,
-                    format!("spawning the mux reader: {e}"),
-                ));
-            }
-        };
+            .map_err(|e| {
+                MuxError::new(MuxErrorKind::Io, format!("spawning the mux reader: {e}"))
+            })?;
         Ok(Self {
             shared,
-            write_tx: Some(write_tx),
-            threads: vec![writer_thread, reader_thread],
+            writer: Mutex::new(writer),
+            reader: Some(reader),
         })
     }
 
-    /// Queue one pre-encoded request frame for writing and register `id`
-    /// for reply correlation. Returns immediately; the round trip happens
-    /// on the mux threads while the caller does other work (or
-    /// [`PendingReply::wait`]s).
+    /// Register `id` for reply correlation and write one pre-encoded
+    /// request frame on the calling thread. Returns once the frame is
+    /// handed to the stream; the reply arrives on the reader thread while
+    /// the caller does other work (or [`PendingReply::wait`]s). A failed
+    /// write poisons the mux with [`MuxErrorKind::Io`], which this and
+    /// every other in-flight request then receive.
     ///
     /// `id` must be unique among this mux's in-flight *and* abandoned
     /// requests — the natural source is a per-connection or shared atomic
@@ -365,7 +345,7 @@ impl<R: Send + 'static> Mux<R> {
     /// [`MuxErrorKind::Decode`] error (through the returned handle, without
     /// poisoning the connection): registering it anyway could cross-wire
     /// the old request's late reply into the new caller.
-    pub fn submit(&self, id: u64, frame_bytes: Vec<u8>) -> PendingReply<R> {
+    pub fn submit(&self, id: u64, frame: &[u8]) -> PendingReply<R> {
         // Oneshot: exactly one of deliver/poison ever sends, so capacity 1
         // means the sender can never block.
         let (tx, rx) = sync_channel(1);
@@ -394,21 +374,33 @@ impl<R: Send + 'static> Mux<R> {
             st.high_water = Some(st.high_water.map_or(id, |hw| hw.max(id)));
             st.pending.insert(id, (Instant::now(), tx));
         }
-        // The queue exists from construction until drop; mid-drop, fail the
-        // request the same way a dead writer thread would.
-        let Some(sender) = self.write_tx.as_ref() else {
-            self.shared
-                .poison(MuxError::new(MuxErrorKind::Closed, "writer thread is gone"));
-            return pending;
+        // Failpoint: corrupt a copy of this frame (caught downstream by a
+        // checksum or a reply deadline) or fail it as the transport would.
+        let written = match crate::failpoint::hit("mux.writer") {
+            None => self.write(frame),
+            Some(crate::failpoint::Fault::CorruptByte(i)) => {
+                let mut copy = frame.to_vec();
+                if let Some(byte) = copy.get_mut(i % frame.len().max(1)) {
+                    *byte ^= 0x40;
+                }
+                self.write(&copy)
+            }
+            Some(_) => Err(std::io::Error::other("failpoint mux.writer: injected")),
         };
-        if sender.send(frame_bytes).is_err() {
-            // The writer thread poisons before exiting, so this is already
-            // (or is about to be) reflected in the pending map; make sure
-            // regardless.
-            self.shared
-                .poison(MuxError::new(MuxErrorKind::Closed, "writer thread is gone"));
+        if let Err(e) = written {
+            self.shared.poison(MuxError::new(
+                MuxErrorKind::Io,
+                format!("write failed: {e}"),
+            ));
         }
         pending
+    }
+
+    /// Put one frame on the wire. The write lock is released on return,
+    /// before the caller poisons on failure.
+    fn write(&self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
+        writer.write_all(bytes).and_then(|()| writer.flush())
     }
 }
 
@@ -432,10 +424,9 @@ impl<R> Mux<R> {
 
 impl<R> Drop for Mux<R> {
     fn drop(&mut self) {
-        drop(self.write_tx.take());
         self.shared
             .poison(MuxError::new(MuxErrorKind::Closed, "multiplexer dropped"));
-        for handle in self.threads.drain(..) {
+        if let Some(handle) = self.reader.take() {
             let _ = handle.join();
         }
     }
@@ -516,7 +507,7 @@ impl<R> PendingReply<R> {
         }
     }
 
-    /// When the I/O thread delivered the reply (or the failure) a poll
+    /// When the reader thread delivered the reply (or the failure) a poll
     /// returned; `None` until then. A caller polling several replies in
     /// turn measures latency from this, not from when its poll returned.
     pub fn arrived_at(&self) -> Option<Instant> {
@@ -545,43 +536,6 @@ impl<R> Drop for PendingReply<R> {
             }
         }
     }
-}
-
-fn writer_loop<R>(mut writer: Box<dyn Write + Send>, rx: &Receiver<Vec<u8>>, shared: &Shared<R>) {
-    while let Ok(mut buf) = rx.recv() {
-        // Coalesce whatever else is already queued into the same syscall.
-        while buf.len() < WRITE_COALESCE_LIMIT {
-            match rx.try_recv() {
-                Ok(next) => buf.extend_from_slice(&next),
-                Err(_) => break,
-            }
-        }
-        // Failpoint: corrupt the coalesced write (detectable downstream via
-        // the frame checksum) or kill the writer thread as a transport
-        // failure would.
-        match crate::failpoint::hit("mux.writer") {
-            None => {}
-            Some(crate::failpoint::Fault::CorruptByte(i)) => {
-                let index = i % buf.len();
-                buf[index] ^= 0x40;
-            }
-            Some(_) => {
-                shared.poison(MuxError::new(
-                    MuxErrorKind::Io,
-                    "failpoint mux.writer: injected write failure",
-                ));
-                return;
-            }
-        }
-        if let Err(e) = writer.write_all(&buf).and_then(|()| writer.flush()) {
-            shared.poison(MuxError::new(
-                MuxErrorKind::Io,
-                format!("write failed: {e}"),
-            ));
-            return;
-        }
-    }
-    // Queue closed: the mux is being dropped.
 }
 
 /// If `buf` starts with a complete frame, its total length; `None` when
@@ -754,7 +708,7 @@ mod tests {
                 for i in 0..50u64 {
                     let id = t * 1000 + i;
                     let body = format!("thread {t} request {i}").into_bytes();
-                    let pending = mux.submit(id, request_bytes(7, id, &body));
+                    let pending = mux.submit(id, &request_bytes(7, id, &body));
                     let (tag, payload) = pending.wait().expect("echoed reply");
                     assert_eq!(tag, 7);
                     assert_eq!(&payload[8..], &body[..]);
@@ -784,8 +738,8 @@ mod tests {
             write_frame(&mut stream, first.0, &first.1).expect("reply");
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        let p1 = mux.submit(1, request_bytes(3, 1, b"first"));
-        let p2 = mux.submit(2, request_bytes(3, 2, b"second"));
+        let p1 = mux.submit(1, &request_bytes(3, 1, b"first"));
+        let p2 = mux.submit(2, &request_bytes(3, 2, b"second"));
         let (_, payload2) = p2.wait().expect("reply for id 2");
         let (_, payload1) = p1.wait().expect("reply for id 1");
         assert_eq!(&payload1[8..], b"first");
@@ -802,14 +756,14 @@ mod tests {
         });
         let mux = connect_mux(&addr, MuxOptions::default());
         let err = mux
-            .submit(1, request_bytes(3, 1, b"doomed"))
+            .submit(1, &request_bytes(3, 1, b"doomed"))
             .wait()
             .expect_err("peer hung up");
         assert_eq!(err.kind, MuxErrorKind::Io);
         assert!(mux.is_poisoned());
         // Subsequent submits fail immediately with the original error.
         let err = mux
-            .submit(2, request_bytes(3, 2, b"late"))
+            .submit(2, &request_bytes(3, 2, b"late"))
             .wait()
             .expect_err("mux is poisoned");
         assert_eq!(err.kind, MuxErrorKind::Io);
@@ -829,7 +783,7 @@ mod tests {
         });
         let mux = connect_mux(&addr, MuxOptions::default());
         let err = mux
-            .submit(5, request_bytes(3, 5, b"x"))
+            .submit(5, &request_bytes(3, 5, b"x"))
             .wait()
             .expect_err("unknown id must poison");
         assert_eq!(err.kind, MuxErrorKind::Decode);
@@ -851,7 +805,7 @@ mod tests {
         let mux = connect_mux(&addr, MuxOptions::default());
         // Submit and immediately drop the handle: the echo arrives for an
         // abandoned id and must NOT poison the connection.
-        drop(mux.submit(1, request_bytes(3, 1, b"abandoned")));
+        drop(mux.submit(1, &request_bytes(3, 1, b"abandoned")));
         std::thread::sleep(Duration::from_millis(200));
         assert!(!mux.is_poisoned(), "abandoned reply must not poison");
         assert_eq!(mux.in_flight(), 0);
@@ -874,7 +828,7 @@ mod tests {
         let mux = connect_mux(&addr, options);
         let start = Instant::now();
         let err = mux
-            .submit(1, request_bytes(3, 1, b"never answered"))
+            .submit(1, &request_bytes(3, 1, b"never answered"))
             .wait()
             .expect_err("stall must surface");
         assert_eq!(err.kind, MuxErrorKind::Stalled);
@@ -888,6 +842,89 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupted_length_prefix_is_detected_at_the_reply_deadline() {
+        let (addr, server) = frame_server(|mut stream| {
+            let (tag, payload) = read_frame(&mut stream, 1 << 20).expect("first request");
+            let _ = read_frame(&mut stream, 1 << 20).expect("second request");
+            // Echo the first with the low byte of its length prefix
+            // flipped, as `corrupt:` does: 48 ^ 0x40 = 112, so the client
+            // waits for 64 bytes that never come.
+            let mut reply = Vec::new();
+            write_frame(&mut reply, tag, &payload).expect("vec write");
+            assert_eq!(reply[1], 48);
+            reply[1] ^= 0x40;
+            stream.write_all(&reply).expect("torn reply");
+            let _ = read_frame(&mut stream, 1 << 20);
+        });
+        let options = MuxOptions {
+            reply_deadline: Some(Duration::from_millis(100)),
+            ..MuxOptions::default()
+        };
+        let mux = connect_mux(&addr, options);
+        let first = mux.submit(1, &request_bytes(3, 1, &[7u8; 40]));
+        let second = mux.submit(2, &request_bytes(3, 2, b"also in flight"));
+        for pending in [first, second] {
+            let err = pending.wait().expect_err("the torn frame must surface");
+            assert_eq!(err.kind, MuxErrorKind::Stalled);
+        }
+        drop(mux);
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn a_failed_write_poisons_the_submit_and_fires_the_closer_once() {
+        /// Blocks every read until the closer fires, then reports EOF.
+        struct GatedReader(Arc<(Mutex<bool>, std::sync::Condvar)>);
+        impl Read for GatedReader {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                let (closed, cv) = &*self.0;
+                let guard = closed.lock().unwrap();
+                drop(cv.wait_while(guard, |closed| !*closed).unwrap());
+                Ok(0)
+            }
+        }
+        struct BrokenPipe;
+        impl Write for BrokenPipe {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::from(ErrorKind::BrokenPipe))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let closes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (closer_gate, closer_count) = (Arc::clone(&gate), Arc::clone(&closes));
+        let mux: Mux<()> = Mux::spawn(
+            "broken",
+            Box::new(GatedReader(Arc::clone(&gate))),
+            Box::new(BrokenPipe),
+            Box::new(move || {
+                closer_count.fetch_add(1, Ordering::SeqCst);
+                *closer_gate.0.lock().unwrap() = true;
+                closer_gate.1.notify_all();
+            }),
+            MuxOptions::default(),
+            |_, _| Err(MuxError::new(MuxErrorKind::Decode, "no replies expected")),
+        )
+        .expect("spawn mux");
+        let err = mux
+            .submit(1, &request_bytes(3, 1, b"x"))
+            .wait()
+            .expect_err("the write fails");
+        assert_eq!(err.kind, MuxErrorKind::Io);
+        assert!(mux.is_poisoned());
+        assert_eq!(closes.load(Ordering::SeqCst), 1);
+        let later = mux
+            .submit(2, &request_bytes(3, 2, b"y"))
+            .wait()
+            .expect_err("sticky");
+        assert_eq!((later.kind, later.detail), (err.kind, err.detail));
+        drop(mux);
+        assert_eq!(closes.load(Ordering::SeqCst), 1, "the closer fires once");
+    }
+
+    #[test]
     fn a_decode_rejection_poisons_with_the_callback_error() {
         let (addr, server) = frame_server(|mut stream| {
             let _ = read_frame(&mut stream, 1 << 20).expect("request");
@@ -897,7 +934,7 @@ mod tests {
         });
         let mux = connect_mux(&addr, MuxOptions::default());
         let err = mux
-            .submit(1, request_bytes(3, 1, b"x"))
+            .submit(1, &request_bytes(3, 1, b"x"))
             .wait()
             .expect_err("decode rejection");
         assert_eq!(err.kind, MuxErrorKind::Decode);
@@ -924,15 +961,15 @@ mod tests {
             }
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        drop(mux.submit(1, request_bytes(3, 1, b"will be reaped")));
+        drop(mux.submit(1, &request_bytes(3, 1, b"will be reaped")));
         for i in 0..FLOOD as u64 {
-            drop(mux.submit(1000 + i, request_bytes(3, 1000 + i, b"flood")));
+            drop(mux.submit(1000 + i, &request_bytes(3, 1000 + i, b"flood")));
         }
         // A fresh request still round-trips — the late reply for the
         // reaped id 1 was discarded via the high-water mark instead of
         // poisoning the connection.
         let (_, payload) = mux
-            .submit(50_000, request_bytes(3, 50_000, b"fresh"))
+            .submit(50_000, &request_bytes(3, 50_000, b"fresh"))
             .wait()
             .expect("fresh request after the reaped late reply");
         assert_eq!(&payload[8..], b"fresh");
@@ -955,27 +992,27 @@ mod tests {
         let mux = connect_mux(&addr, MuxOptions::default());
         // Abandon id 7 with its reply still outstanding (the server
         // swallows tag 4, so nothing ever drains it).
-        drop(mux.submit(7, request_bytes(4, 7, b"abandoned")));
+        drop(mux.submit(7, &request_bytes(4, 7, b"abandoned")));
         // Reusing the id now would let the old request's late reply
         // cross-wire into the new caller: typed rejection, no poison.
         let err = mux
-            .submit(7, request_bytes(3, 7, b"reused too early"))
+            .submit(7, &request_bytes(3, 7, b"reused too early"))
             .wait()
             .expect_err("reuse while abandoned must be rejected");
         assert_eq!(err.kind, MuxErrorKind::Decode);
         assert!(err.detail.contains("already in flight"));
         assert!(!mux.is_poisoned(), "a rejected reuse must not poison");
         // A duplicate of a *pending* id is rejected the same way.
-        let pending = mux.submit(9, request_bytes(4, 9, b"still in flight"));
+        let pending = mux.submit(9, &request_bytes(4, 9, b"still in flight"));
         let err = mux
-            .submit(9, request_bytes(3, 9, b"duplicate"))
+            .submit(9, &request_bytes(3, 9, b"duplicate"))
             .wait()
             .expect_err("duplicate of a pending id must be rejected");
         assert_eq!(err.kind, MuxErrorKind::Decode);
         drop(pending);
         // Other ids are unaffected throughout.
         let (_, payload) = mux
-            .submit(8, request_bytes(3, 8, b"unaffected"))
+            .submit(8, &request_bytes(3, 8, b"unaffected"))
             .wait()
             .expect("fresh id still round-trips");
         assert_eq!(&payload[8..], b"unaffected");
@@ -997,7 +1034,7 @@ mod tests {
         });
         let mux = connect_mux(&addr, MuxOptions::default());
         // Abandon id 5; the echo arrives afterwards and is drained.
-        drop(mux.submit(5, request_bytes(3, 5, b"stale loser reply")));
+        drop(mux.submit(5, &request_bytes(3, 5, b"stale loser reply")));
         let deadline = Instant::now() + Duration::from_secs(10);
         while mux.shared.lock().abandoned.contains(&5) {
             assert!(Instant::now() < deadline, "late reply never drained");
@@ -1006,7 +1043,7 @@ mod tests {
         assert!(!mux.is_poisoned(), "drained duplicate must not poison");
         // Reuse the id: the new request correlates to the new reply.
         let (_, payload) = mux
-            .submit(5, request_bytes(3, 5, b"fresh winner reply"))
+            .submit(5, &request_bytes(3, 5, b"fresh winner reply"))
             .wait()
             .expect("reused id after the drain");
         assert_eq!(&payload[8..], b"fresh winner reply");
@@ -1023,7 +1060,7 @@ mod tests {
         });
         let mux = connect_mux(&addr, MuxOptions::default());
         let submitted = Instant::now();
-        let mut pending = mux.submit(1, request_bytes(3, 1, b"stamp"));
+        let mut pending = mux.submit(1, &request_bytes(3, 1, b"stamp"));
         assert_eq!(pending.arrived_at(), None);
         // The echo lands long before this poll runs.
         std::thread::sleep(Duration::from_millis(200));
@@ -1048,12 +1085,12 @@ mod tests {
             }
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        let mut slow = mux.submit(1, request_bytes(4, 1, b"never answered"));
+        let mut slow = mux.submit(1, &request_bytes(4, 1, b"never answered"));
         assert!(
             slow.poll_timeout(Duration::from_millis(50)).is_none(),
             "an unanswered request polls to None"
         );
-        let mut fast = mux.submit(2, request_bytes(3, 2, b"hedge"));
+        let mut fast = mux.submit(2, &request_bytes(3, 2, b"hedge"));
         let reply = loop {
             if let Some(reply) = fast.poll_timeout(Duration::from_millis(50)) {
                 break reply;
