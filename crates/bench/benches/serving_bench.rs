@@ -291,20 +291,12 @@ fn bench_classify_batch(c: &mut Criterion) {
     }
     group.finish();
 
-    // Single-query latency, extraction included.
-    let mut group = c.benchmark_group("serving/single");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("classify_one", |b| {
-        b.iter(|| trained.classify(black_box(&batch[0].1)))
-    });
-    group.finish();
-
-    // Remote serving in isolation: loopback-remote vs indexed on identical
-    // single-query traffic. Everything above the indexed number is
-    // scheduling + framing + syscalls. The `classify_one_*` labels include
-    // extraction; the `score_one_prehashed_*` labels score one prepared
-    // query's similarity row and nothing else, so the transport is most of
-    // what they measure.
+    // Single-query serving: loopback-remote vs indexed on identical
+    // traffic. Everything above the indexed number is scheduling + framing
+    // + syscalls. The `classify_one_*` labels include extraction
+    // (`classify_one_indexed` is the local single-query latency); the
+    // `score_one_prehashed_*` labels score one prepared query's similarity
+    // row and nothing else, so the transport is most of what they measure.
     let mut group = c.benchmark_group("serving/remote");
     group.sample_size(10);
     group.throughput(Throughput::Elements(1));

@@ -69,11 +69,11 @@ fn bench_edit_distance(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three tiers of the `fastdist` kernel on realistic signatures: the
-/// full-table oracle scan, the banded DP with a loose limit (no pruning
-/// possible — measures the band/scratch machinery itself), the banded DP
-/// under a tight budget (the max-merge serving case, where the cutoff and
-/// the bit-parallel lower bound reject mid- or pre-table), and the
+/// The tiers of the `fastdist` kernel on realistic signatures: the
+/// full-table oracle, the bounded kernel with a loose limit (no pruning
+/// possible, so the anti-diagonal lane DP fills the whole table), the
+/// bounded kernel under a tight budget (the max-merge serving case, where
+/// the bit-parallel lower bound rejects before any table), and the
 /// bit-parallel lower bound alone.
 fn bench_distance_kernel(c: &mut Criterion) {
     // Realistic 64-char signatures from generated hashes: a similar pair
@@ -106,7 +106,7 @@ fn bench_distance_kernel(c: &mut Criterion) {
         group.bench_function(format!("scan_oracle_{pair}"), |bch| {
             bch.iter(|| weighted_edit_distance(black_box(a), black_box(b)))
         });
-        group.bench_function(format!("banded_loose_limit_{pair}"), |bch| {
+        group.bench_function(format!("lane_loose_limit_{pair}"), |bch| {
             bch.iter(|| weighted_edit_distance_bounded(black_box(a), black_box(b), loose))
         });
         group.bench_function(format!("bounded_tight_budget_{pair}"), |bch| {

@@ -15,9 +15,9 @@
 //!   [`ReferenceSet`]: only buckets whose block size is compatible with the
 //!   query's are visited, and each comparison skips straight to the
 //!   edit-distance DP — bounded by the cell's running maximum score, so a
-//!   reference that cannot beat the class's best match so far is abandoned
-//!   mid-DP (`ssdeep::compare_prepared_min` over the banded
-//!   `ssdeep::fastdist` kernel). The default.
+//!   reference that cannot beat the class's best match so far is mostly
+//!   rejected before any DP (`ssdeep::compare_prepared_min` over the
+//!   bounded `ssdeep::fastdist` kernel). The default.
 //! * [`FleetBackend`] — the reference *classes* partitioned across shard
 //!   worker processes (`fhc-shardd`, or an `fhc-gateway` front door) behind
 //!   persistent sockets, each query's partial rows max-merged, with replicas

@@ -128,7 +128,7 @@ impl SampleFeatures {
 ///
 /// Preparing costs one run-elimination + window-key sort per view; every
 /// subsequent comparison against another prepared sample then skips that
-/// work entirely and runs on the banded `ssdeep::fastdist` kernel. The
+/// work entirely and runs on the bounded `ssdeep::fastdist` kernel. The
 /// similarity feature matrix prepares each query sample once and compares
 /// it against the reference set's already-prepared hashes, threading each
 /// cell's running maximum down as an early-exit score budget.

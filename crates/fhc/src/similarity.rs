@@ -31,9 +31,9 @@
 //! reference set is never touched. Each surfaced candidate then runs the
 //! budget-pruned comparison: the class's running maximum similarity is
 //! threaded down as an early-exit score budget
-//! ([`ssdeep::compare_prepared_min`] over the banded `ssdeep::fastdist`
+//! ([`ssdeep::compare_prepared_min`] over the bounded `ssdeep::fastdist`
 //! kernel), so a reference that cannot beat the best score seen so far is
-//! abandoned mid-DP. Scores are byte-identical to the unindexed scan
+//! mostly rejected by a lower bound before any DP. Scores are byte-identical to the unindexed scan
 //! ([`ReferenceSet::feature_vector_scan`] keeps the plain `ssdeep::compare`
 //! path as a verification oracle).
 

@@ -4,38 +4,34 @@
 //! pairwise signature comparisons through the weighted Damerau–Levenshtein
 //! distance. The oracle implementation
 //! ([`weighted_edit_distance`](crate::edit_distance::weighted_edit_distance))
-//! allocates three fresh rows per call and always fills the full `O(m·n)`
-//! table, even when the caller only needs to know whether the distance can
-//! stay under a budget. This module is the fast path, three stacked wins,
-//! all byte-identical to the oracle wherever a result is produced:
+//! allocates three fresh rows per call and fills the `O(m·n)` table one
+//! cell at a time, each cell waiting on its left neighbour. The caller
+//! usually needs less: only whether the distance can stay under a budget.
+//! [`weighted_edit_distance_bounded`] answers that in three tiers, all
+//! byte-identical to the oracle wherever a result is produced:
 //!
-//! 1. **Scratch reuse** — [`DistanceScratch`] owns the DP rows (`u32`, not
-//!    `usize`: signature distances are tiny and narrower rows halve memory
-//!    traffic). Callers hold one per thread, or use the thread-local inside
-//!    [`weighted_edit_distance_bounded`], so the per-call allocations
-//!    disappear.
-//! 2. **Bit-parallel lower bound** — the unit-cost Damerau–Levenshtein
+//! 0. **Length gap** — the distance is at least `|m - n|`, since only
+//!    insertions and deletions change the length.
+//! 1. **Bit-parallel lower bound** — the unit-cost Damerau–Levenshtein
 //!    distance ([`damerau_levenshtein_bitparallel`], Myers/Hyyrö bit-vector
 //!    algorithm, one `u64` word for the ≤64-char run-eliminated signatures)
 //!    is a lower bound on the weighted distance (every weighted op cost
 //!    dominates its unit cost, and the recurrences are otherwise
-//!    identical), so `lb > limit` rejects a pair in ~`n` word operations
-//!    before any DP row is touched.
-//! 3. **Banded DP with cutoff** — [`weighted_edit_distance_bounded`] fills
-//!    only the diagonal band that can still produce a distance `<= limit`
-//!    (any path through diagonal offset `d = j - i` costs at least
-//!    `|d| + |Δ - d|` in unit-cost insertions/deletions, `Δ` the final
-//!    length difference) and abandons the table as soon as two consecutive
-//!    rows exceed the limit (two rows, not one, because a transposition
-//!    step can hop over a single row), returning
-//!    [`BoundedDistance::AtLeast`] instead of an exact value.
+//!    identical), so `lb > limit` rejects a pair in ~`n` word operations.
+//! 2. **Anti-diagonal lane DP** — the cells of one anti-diagonal of the
+//!    table depend only on earlier diagonals, so the kernel fills a whole
+//!    diagonal at once in saturating `u8` lanes, one lane per byte of the
+//!    shorter input, rounded up to 16 (a const generic). The compiler
+//!    turns each diagonal into 16-lane vector code at the default target.
+//!    Inputs longer than 64 bytes, which run-eliminated signatures never
+//!    are, go to the oracle.
 //!
 //! The prepared comparison path
 //! ([`compare_prepared_min`](crate::prepared::compare_prepared_min)) turns
 //! a *score* budget into a distance `limit` via
 //! [`max_distance_for_score`](crate::compare::max_distance_for_score) and
 //! feeds it here, so a comparison that cannot beat a class's running
-//! maximum similarity is abandoned mid-table.
+//! maximum similarity is mostly rejected before any table is filled.
 
 use crate::edit_distance::generic_distance;
 use std::cell::RefCell;
@@ -69,48 +65,19 @@ impl BoundedDistance {
     }
 }
 
-/// Sentinel for out-of-band DP cells. Far above any real signature
-/// distance, far below `u32::MAX` so `saturating_add` headroom is never
-/// needed on the hot path (a plain `+ 2` cannot overflow it).
-const INF: u32 = u32::MAX / 4;
+/// The longest input the lane kernel takes; longer ones go to the oracle.
+/// Cells are `u8`: a distance is at most the sum of the lengths, 128.
+const MAX_LANES: usize = 64;
 
-/// Reusable DP rows for [`weighted_edit_distance_bounded_with`].
-///
-/// One scratch per thread removes the three `Vec` allocations the oracle
-/// pays per call. The rows grow to the widest signature seen and are then
-/// reused verbatim; dropping the scratch frees them.
-#[derive(Debug, Default)]
-pub struct DistanceScratch {
-    prev2: Vec<u32>,
-    prev: Vec<u32>,
-    cur: Vec<u32>,
+/// A cell outside the table (and the saturation point of cell arithmetic).
+const INF: u8 = u8::MAX;
+
+thread_local! {
     /// Match-position masks for the bit-parallel lower bound, allocated on
     /// first use and kept **all-zero between calls** (each call clears the
     /// ≤ 64 entries its pattern touched on exit) — cheaper than refilling
     /// a 2 KB table per comparison.
-    pm: Vec<u64>,
-}
-
-impl DistanceScratch {
-    /// An empty scratch (rows grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The three rows, each resized to `width` cells.
-    fn rows(&mut self, width: usize) -> (&mut Vec<u32>, &mut Vec<u32>, &mut Vec<u32>) {
-        self.prev2.resize(width, INF);
-        self.prev.resize(width, INF);
-        self.cur.resize(width, INF);
-        (&mut self.prev2, &mut self.prev, &mut self.cur)
-    }
-}
-
-thread_local! {
-    /// Per-thread scratch used by the convenience wrappers, so hot-path
-    /// callers get allocation-free comparisons without threading a scratch
-    /// through every layer by hand.
-    static THREAD_SCRATCH: RefCell<DistanceScratch> = RefCell::new(DistanceScratch::new());
+    static MATCH_MASKS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The SSDeep scoring distance (insert/delete 1, substitute 2, adjacent
@@ -120,9 +87,15 @@ thread_local! {
 /// [`weighted_edit_distance`](crate::edit_distance::weighted_edit_distance)
 /// — and [`BoundedDistance::AtLeast`]`(limit + 1)` otherwise.
 ///
-/// Uses a per-thread [`DistanceScratch`]; see
-/// [`weighted_edit_distance_bounded_with`] for the caller-owned-scratch
-/// form and the pruning tiers.
+/// Three tiers, cheapest first:
+///
+/// 0. the length gap, a lower bound (only insertions and deletions change
+///    the length, at cost 1 each);
+/// 1. the bit-parallel unit-cost Damerau–Levenshtein distance, a lower
+///    bound because every weighted op cost dominates its unit cost over
+///    the same recurrence;
+/// 2. the exact distance by the anti-diagonal lane kernel, or by the
+///    oracle when an input is longer than 64 bytes.
 ///
 /// # Examples
 ///
@@ -138,132 +111,120 @@ thread_local! {
 /// );
 /// ```
 pub fn weighted_edit_distance_bounded(a: &str, b: &str, limit: usize) -> BoundedDistance {
-    THREAD_SCRATCH.with(|scratch| {
-        weighted_edit_distance_bounded_with(
-            &mut scratch.borrow_mut(),
-            a.as_bytes(),
-            b.as_bytes(),
-            limit,
-        )
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let within = |d: usize| {
+        if d <= limit {
+            BoundedDistance::Exact(d)
+        } else {
+            BoundedDistance::AtLeast(limit + 1)
+        }
+    };
+    // Shapes that need no table at all.
+    if a == b {
+        return within(0);
+    }
+    if a.is_empty() || b.is_empty() {
+        return within(a.len() + b.len());
+    }
+    // Tier 0: the length gap.
+    if a.len().abs_diff(b.len()) > limit {
+        return BoundedDistance::AtLeast(limit + 1);
+    }
+    // Tier 1: the bit-parallel lower bound, only worth running when it
+    // *can* reject: it never exceeds the longer length.
+    if limit < a.len().max(b.len()) {
+        let bound = MATCH_MASKS.with(|pm| damerau_bitparallel_with(&mut pm.borrow_mut(), a, b));
+        if bound.is_some_and(|lb| lb > limit) {
+            return BoundedDistance::AtLeast(limit + 1);
+        }
+    }
+    // Tier 2: the exact distance. It is symmetric (insertion and deletion
+    // cost the same), so the shorter input takes the lanes.
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if long.len() > MAX_LANES {
+        return within(generic_distance(a, b, 1, 1, 2, Some(1)));
+    }
+    within(match short.len() {
+        1..=16 => lane_distance::<16>(short, long),
+        17..=32 => lane_distance::<32>(short, long),
+        33..=48 => lane_distance::<48>(short, long),
+        _ => lane_distance::<64>(short, long),
     })
 }
 
-/// [`weighted_edit_distance_bounded`] over raw bytes with a caller-owned
-/// scratch (the form the comparison hot path uses).
-pub fn weighted_edit_distance_bounded_with(
-    scratch: &mut DistanceScratch,
-    a: &[u8],
-    b: &[u8],
-    limit: usize,
-) -> BoundedDistance {
+/// `lanes` moved up one lane, `first` entering lane 0.
+#[inline(always)]
+fn shifted<T: Copy, const L: usize>(lanes: &[T; L], first: T) -> [T; L] {
+    std::array::from_fn(|k| if k == 0 { first } else { lanes[k - 1] })
+}
+
+/// The weighted distance of `a` (1 to `L` bytes) and `b` (at least as long,
+/// at most [`MAX_LANES`]), by anti-diagonals of the DP table.
+///
+/// Lane `k` holds row `i = k + 1`; on anti-diagonal `d` that is the cell
+/// `(i, j = d - i)`. A cell reads its row neighbour and column neighbour
+/// on diagonal `d - 1`, its match/substitute neighbour on `d - 2` and its
+/// transposition neighbour on `d - 4`, so every lane of a diagonal is
+/// independent and the loop over them is vector code: saturating `u8`
+/// lanes, 16 to a register at the default target, the transposition taken
+/// by a branch-free select (Wozniak, "Using video-oriented instructions to
+/// speed up sequence comparison", CABIOS 1997). Row 0 enters through lane
+/// 0 as `D[0][j] = j`; lanes left of column 0 hold [`INF`], and lanes past
+/// the table hold values no cell inside it reads.
+fn lane_distance<const L: usize>(a: &[u8], b: &[u8]) -> usize {
     let (m, n) = (a.len(), b.len());
-
-    // Degenerate shapes first: they need no table at all.
-    if m == 0 || n == 0 {
-        let d = m + n;
-        return if d <= limit {
-            BoundedDistance::Exact(d)
-        } else {
-            BoundedDistance::AtLeast(limit + 1)
-        };
+    debug_assert!((1..=L).contains(&m) && (m..=MAX_LANES).contains(&n));
+    let mut row_chars = [0u8; L];
+    row_chars[..m].copy_from_slice(a);
+    // `b` reversed after `L` bytes of padding: on diagonal `d`, lane `k`
+    // reads `b[j - 1] = b[d - k - 2]`, which is `reversed[L + n + 1 - d + k]`.
+    let mut reversed = [0u8; 2 * MAX_LANES + MAX_LANES];
+    for (x, &c) in b.iter().rev().enumerate() {
+        reversed[L + x] = c;
     }
-    if a == b {
-        return BoundedDistance::Exact(0);
-    }
-
-    // Tier 0: the distance is at least the length difference (only
-    // insertions and deletions change the length, at cost 1 each).
-    let diff = m.abs_diff(n);
-    if diff > limit {
-        return BoundedDistance::AtLeast(limit + 1);
-    }
-
-    // Absurdly long inputs (far beyond any signature) would overflow the
-    // u32 rows; hand them to the allocating oracle.
-    if m + n >= INF as usize {
-        let d = generic_distance(a, b, 1, 1, 2, Some(1));
-        return if d <= limit {
-            BoundedDistance::Exact(d)
-        } else {
-            BoundedDistance::AtLeast(limit + 1)
-        };
-    }
-
-    // Tier 1: bit-parallel unit-cost Damerau–Levenshtein lower bound.
-    // Every weighted op cost dominates its unit cost (1/1/2/1 vs 1/1/1/1)
-    // over the same recurrence, so DL <= weighted distance cell-wise. Only
-    // worth running when it *can* reject: DL never exceeds max(m, n).
-    if limit < m.max(n) {
-        if let Some(lb) = damerau_bitparallel_with(&mut scratch.pm, a, b) {
-            if lb > limit {
-                return BoundedDistance::AtLeast(limit + 1);
+    let lane: [u8; L] = std::array::from_fn(|k| k as u8);
+    // Diagonal d lives in `diagonals[d % 4]` until d + 4 replaces it;
+    // diagonal 1 holds only D[1][0] = 1, and diagonals -2 to 0 nothing.
+    let mut diagonals = [[INF; L]; 4];
+    diagonals[1][0] = 1;
+    // Where a[i - 1] == b[j - 1] held on diagonal d - 1.
+    let mut matched1 = [false; L];
+    for d in 2..=m + n {
+        let d8 = d as u8;
+        let column: &[u8; L] = reversed[L + n + 1 - d..][..L]
+            .try_into()
+            .expect("the padding covers every diagonal");
+        let matched: [bool; L] = std::array::from_fn(|k| row_chars[k] == column[k]);
+        let [back4, back1, back2] = [d, d - 1, d - 2].map(|e| &diagonals[e % 4]);
+        let up = shifted(back1, d8 - 1);
+        let diagonal = shifted(back2, d8 - 2);
+        // D[i - 2][j - 2]: lane 0 never transposes; lane 1 reads row 0.
+        let row0 = d8.checked_sub(4).unwrap_or(INF);
+        let transposed = shifted(&shifted(back4, row0), INF);
+        // a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1], from d - 1.
+        let swapped = shifted(&matched1, false);
+        let cur: [u8; L] = std::array::from_fn(|k| {
+            let substitute = diagonal[k].saturating_add(if matched[k] { 0 } else { 2 });
+            let indel = up[k].min(back1[k]).saturating_add(1);
+            let transpose = if matched1[k] & swapped[k] {
+                transposed[k].saturating_add(1)
+            } else {
+                INF
+            };
+            let best = substitute.min(indel).min(transpose);
+            // Column 0 is i deletions; left of it there is no cell.
+            if lane[k] >= d8 {
+                INF
+            } else if lane[k] + 1 == d8 {
+                lane[k] + 1
+            } else {
+                best
             }
-        }
+        });
+        diagonals[d % 4] = cur;
+        matched1 = matched;
     }
-
-    // Tier 2: banded DP. A path through the cell (i, j) — diagonal offset
-    // d = j - i — spends at least |d| + |Δ - d| on insertions/deletions
-    // (Δ = n - m is the final offset; substitutions and transpositions
-    // never change the offset, and a transposition changes it by 0). So
-    // only offsets with |d| + |Δ - d| <= limit can contribute, which is
-    // the interval [min(0, Δ) - slack, max(0, Δ) + slack] with
-    // slack = (limit - |Δ|) / 2.
-    let limit = limit.min(m + n);
-    let limit_u32 = limit as u32;
-    let delta = n as isize - m as isize;
-    let slack = ((limit - diff) / 2) as isize;
-    let lo = delta.min(0) - slack;
-    let hi = delta.max(0) + slack;
-
-    let width = n + 1;
-    let (prev2, prev, cur) = scratch.rows(width);
-
-    // Row 0: D[0][j] = j insertions; out-of-band cells are INF. Row -1
-    // (prev2 for i = 1) is all INF.
-    prev2[..width].fill(INF);
-    for (j, cell) in prev[..width].iter_mut().enumerate() {
-        *cell = if j as isize <= hi { j as u32 } else { INF };
-    }
-    // The cutoff needs two consecutive over-limit rows because a
-    // transposition reads prev2 and can hop a single bad row.
-    let mut prev_row_min = 0u32;
-
-    for i in 1..=m {
-        let band_lo = (i as isize + lo).max(0) as usize;
-        let band_hi = ((i as isize + hi).min(n as isize)) as usize;
-        cur[..width].fill(INF);
-        let mut row_min = INF;
-        if band_lo == 0 {
-            cur[0] = i as u32; // delete a[..i]
-            row_min = cur[0];
-        }
-        let ai = a[i - 1];
-        for j in band_lo.max(1)..=band_hi {
-            let bj = b[j - 1];
-            let cost_sub = if ai == bj { 0 } else { 2 };
-            let mut best = (prev[j] + 1) // delete a[i-1]
-                .min(cur[j - 1] + 1) // insert b[j-1]
-                .min(prev[j - 1] + cost_sub); // match / substitute
-            if i > 1 && j > 1 && ai == b[j - 2] && a[i - 2] == bj {
-                best = best.min(prev2[j - 2] + 1); // transpose
-            }
-            cur[j] = best;
-            row_min = row_min.min(best);
-        }
-        if row_min > limit_u32 && prev_row_min > limit_u32 {
-            return BoundedDistance::AtLeast(limit + 1);
-        }
-        prev_row_min = row_min;
-        std::mem::swap(prev2, prev);
-        std::mem::swap(prev, cur);
-    }
-
-    let d = prev[n];
-    if d <= limit_u32 {
-        BoundedDistance::Exact(d as usize)
-    } else {
-        BoundedDistance::AtLeast(limit + 1)
-    }
+    usize::from(diagonals[(m + n) % 4][m - 1])
 }
 
 /// Unit-cost Damerau–Levenshtein distance (optimal string alignment, the
@@ -273,7 +234,7 @@ pub fn weighted_edit_distance_bounded_with(
 ///
 /// Returns `None` when both strings are longer than 64 bytes (real
 /// run-eliminated signatures never are). Used as the pre-DP lower bound of
-/// [`weighted_edit_distance_bounded_with`]; exactness is enforced against
+/// [`weighted_edit_distance_bounded`]; exactness is enforced against
 /// the row DP by the property tests.
 ///
 /// # Examples
@@ -288,9 +249,9 @@ pub fn damerau_levenshtein_bitparallel(a: &str, b: &str) -> Option<usize> {
 }
 
 /// Byte-slice form of [`damerau_levenshtein_bitparallel`] (uses the
-/// per-thread scratch's match-mask table).
+/// per-thread match-mask table).
 pub fn damerau_levenshtein_bitparallel_bytes(a: &[u8], b: &[u8]) -> Option<usize> {
-    THREAD_SCRATCH.with(|scratch| damerau_bitparallel_with(&mut scratch.borrow_mut().pm, a, b))
+    MATCH_MASKS.with(|pm| damerau_bitparallel_with(&mut pm.borrow_mut(), a, b))
 }
 
 /// The bit-parallel core over a caller-owned match-mask table. `pm` must
@@ -464,30 +425,30 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reusable_across_shapes() {
-        let mut scratch = DistanceScratch::new();
-        let pairs = [
-            ("short", "also short"),
-            ("a much longer signature string to widen the rows", "x"),
-            ("", "nonempty"),
-            ("back", "to short"),
-        ];
-        for (a, b) in pairs {
-            let d = wed(a, b);
-            let got = weighted_edit_distance_bounded_with(
-                &mut scratch,
-                a.as_bytes(),
-                b.as_bytes(),
-                a.len() + b.len(),
-            );
-            assert_eq!(got, BoundedDistance::Exact(d));
+    fn lane_counts_and_oracle_fallback_agree_with_the_oracle() {
+        // Shorter lengths on both sides of each lane-count switch, and
+        // longer inputs that leave the lanes for the oracle.
+        let text = |len: usize, salt: usize| -> String {
+            (0..len)
+                .map(|i| (b'A' + ((i * 7 + i / 3 + salt) % 5) as u8) as char)
+                .collect()
+        };
+        for short in [1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80] {
+            for extra in [0, 1, 9] {
+                let (a, b) = (text(short, 0), text(short + extra, 3));
+                let d = wed(&a, &b);
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let got = weighted_edit_distance_bounded(x, y, x.len() + y.len());
+                    assert_eq!(got, BoundedDistance::Exact(d), "({x:?},{y:?})");
+                }
+            }
         }
     }
 
     #[test]
-    fn transposition_cannot_tunnel_past_the_cutoff() {
-        // Transposition-heavy pairs where a single-row cutoff would be
-        // unsound: every adjacent pair swapped.
+    fn every_adjacent_pair_swapped() {
+        // Transposition-heavy pairs: every cell of the result reads the
+        // diagonal four back.
         let a = "abcdefghijklmnop";
         let b = "badcfehgjilknmpo";
         let d = wed(a, b); // 8 transpositions

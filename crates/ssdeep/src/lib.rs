@@ -15,19 +15,19 @@
 //! * [`blocksize`] — block-size selection and the iteration rule that keeps
 //!   signatures near 64 characters.
 //! * [`generate`] — [`FuzzyHash`] generation. [`fuzzy_hash_bytes`] is a
-//!   one-pass engine: it rolls from the input itself (the byte leaving the
-//!   window is the one seven back), tests boundaries at block sizes
-//!   `3 << k` with a power-of-two mask before a `% 3`, and carries the
-//!   chunk hashes of the first two candidate block sizes side by side, so
-//!   the halve-and-rehash loop rarely runs a second pass.
-//!   [`fuzzy_hash_bytes_oracle`] is that loop, one chunking pass per block
-//!   size, kept as the reference the engine is tested byte-identical to.
+//!   two-phase engine: phase 1 finds the chunk boundaries of three
+//!   candidate block sizes for 64 input positions at a time, in `u8`
+//!   vector lanes, and phase 2 hashes only the chosen block size's chunks,
+//!   several chunks interleaved. [`fuzzy_hash_bytes_oracle`] is the
+//!   textbook halve-and-rehash loop, one chunking pass per block size,
+//!   kept as the reference the engine is tested byte-identical to.
 //! * [`edit_distance`] — Levenshtein, Damerau–Levenshtein (Eq. 1 of the
 //!   paper), and the weighted edit distance SSDeep scales into a score.
-//! * [`fastdist`] — the bounded comparison kernel: reusable DP scratch, a
-//!   bit-parallel (Myers/Hyyrö) Damerau lower bound, and a banded DP with
-//!   early cutoff ([`weighted_edit_distance_bounded`]), byte-identical to
-//!   the oracle wherever it reports an exact distance.
+//! * [`fastdist`] — the bounded comparison kernel
+//!   ([`weighted_edit_distance_bounded`]): a length-gap and a bit-parallel
+//!   (Myers/Hyyrö) Damerau lower bound, then an anti-diagonal DP in `u8`
+//!   vector lanes, byte-identical to the oracle wherever it reports an
+//!   exact distance.
 //! * [mod@compare] — the 0–100 similarity score ([`compare`](compare::compare)),
 //!   including the common-substring guard and block-size compatibility rule.
 //! * [`prepared`] — [`PreparedHash`]: per-hash comparison state computed
@@ -77,7 +77,6 @@ pub use edit_distance::{damerau_levenshtein, levenshtein, weighted_edit_distance
 pub use error::ParseError;
 pub use fastdist::{
     damerau_levenshtein_bitparallel, weighted_edit_distance_bounded, BoundedDistance,
-    DistanceScratch,
 };
 pub use generate::{fuzzy_hash_bytes, fuzzy_hash_bytes_oracle, FuzzyHash, SPAM_SUM_LENGTH};
 pub use prepared::{compare_prepared, compare_prepared_min, PreparedHash};

@@ -241,9 +241,9 @@ fn score_prepared_min(
 ///
 /// Byte-identical to [`compare`](crate::compare::compare) on the underlying
 /// [`FuzzyHash`] pair, but with the per-comparison signature normalization
-/// already paid and the edit distance computed by the banded
+/// already paid and the edit distance computed by the bounded
 /// [`fastdist`](crate::fastdist) kernel: only the common-substring
-/// intersection and the in-band DP cells run per pair.
+/// intersection and the kernel's tiers run per pair.
 pub fn compare_prepared(a: &PreparedHash, b: &PreparedHash) -> u32 {
     // min_score = 1 never prunes: a true score of 0 is returned exactly
     // (the only value below the budget), everything else beats it.

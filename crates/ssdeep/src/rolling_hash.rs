@@ -13,43 +13,34 @@
 //! sum, `h2` their sum weighted 7, 6, ..., 1 from newest to oldest, and `h3`
 //! shifts left by 5 per byte, so after seven shifts (35 bits) a byte has left
 //! the 32-bit word. Two inputs that end in the same seven bytes therefore
-//! have the same [`RollingHash::value`]. The generator relies on this: it
-//! reads the byte leaving the window from the input, seven positions back,
-//! instead of keeping a ring buffer.
+//! have the same [`RollingHash::value`]: with `bj` the byte `j` back, it is
+//! the seven-tap filter `Σ (8 - j)·bj + XOR (bj << 5j)` modulo 2^32.
+//!
+//! Its low byte is narrower still. A shift by `5j` moves `bj` past bit 7
+//! for every `j >= 2`, so the low byte is `8·b0 + 7·b1 + ... + 2·b6 +
+//! (b0 ^ (b1 << 5))` in wrapping `u8` arithmetic. A block size `3 << k`
+//! tests `k` low bits of `value + 1`, so for `k <= 8` that byte alone
+//! decides the power-of-two half of the boundary test. The generator's
+//! first phase relies on both facts: it computes the low byte for 64
+//! positions at once in `u8` lanes, and the full value only where the
+//! byte passes.
 
 /// Number of bytes the rolling hash looks back over.
 pub const ROLLING_WINDOW: usize = 7;
 
-/// The rolling sums without a window: the caller supplies the byte that
-/// leaves the window on each step.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Roll {
-    h1: u32,
-    h2: u32,
-    h3: u32,
-}
-
-impl Roll {
-    /// Feed `byte`, dropping `dropped` (the byte [`ROLLING_WINDOW`]
-    /// positions back, or 0 while fewer have been fed), and return the
-    /// updated hash value.
-    #[inline(always)]
-    pub(crate) fn step(&mut self, byte: u8, dropped: u8) -> u32 {
-        let b = u32::from(byte);
-        self.h2 = self
-            .h2
-            .wrapping_sub(self.h1)
-            .wrapping_add(ROLLING_WINDOW as u32 * b);
-        self.h1 = self.h1.wrapping_add(b).wrapping_sub(u32::from(dropped));
-        self.h3 = (self.h3 << 5) ^ b;
-        self.value()
+/// The hash value after `window` (oldest byte first) were the last
+/// [`ROLLING_WINDOW`] bytes fed: `Σ (8 - j)·bj + XOR (bj << 5j)` over
+/// `bj`, the byte `j` back, modulo 2^32.
+#[inline(always)]
+pub(crate) fn window_value(window: &[u8; ROLLING_WINDOW]) -> u32 {
+    let mut sum = 0u32;
+    let mut shifted = 0u32;
+    for (j, &b) in window.iter().rev().enumerate() {
+        let b = u32::from(b);
+        sum += (8 - j as u32) * b;
+        shifted ^= b << (5 * j);
     }
-
-    /// The current hash value.
-    #[inline(always)]
-    pub(crate) fn value(&self) -> u32 {
-        self.h1.wrapping_add(self.h2).wrapping_add(self.h3)
-    }
+    sum.wrapping_add(shifted)
 }
 
 /// Rolling hash state (an Adler-32 style sum/shift/window combination, as in
@@ -57,7 +48,9 @@ impl Roll {
 #[derive(Debug, Clone)]
 pub struct RollingHash {
     window: [u8; ROLLING_WINDOW],
-    roll: Roll,
+    h1: u32,
+    h2: u32,
+    h3: u32,
     n: usize,
 }
 
@@ -72,7 +65,9 @@ impl RollingHash {
     pub fn new() -> Self {
         Self {
             window: [0; ROLLING_WINDOW],
-            roll: Roll::default(),
+            h1: 0,
+            h2: 0,
+            h3: 0,
             n: 0,
         }
     }
@@ -83,13 +78,20 @@ impl RollingHash {
         let slot = &mut self.window[self.n % ROLLING_WINDOW];
         let dropped = std::mem::replace(slot, byte);
         self.n += 1;
-        self.roll.step(byte, dropped)
+        let b = u32::from(byte);
+        self.h2 = self
+            .h2
+            .wrapping_sub(self.h1)
+            .wrapping_add(ROLLING_WINDOW as u32 * b);
+        self.h1 = self.h1.wrapping_add(b).wrapping_sub(u32::from(dropped));
+        self.h3 = (self.h3 << 5) ^ b;
+        self.value()
     }
 
     /// The current hash value.
     #[inline]
     pub fn value(&self) -> u32 {
-        self.roll.value()
+        self.h1.wrapping_add(self.h2).wrapping_add(self.h3)
     }
 
     /// Number of bytes consumed so far.
@@ -140,17 +142,36 @@ mod tests {
     }
 
     #[test]
-    fn windowless_step_matches_the_windowed_hash() {
+    fn value_is_the_seven_tap_formula_of_the_window() {
         let data: Vec<u8> = (0..200u32).map(|i| (i * 37 % 256) as u8).collect();
         let mut rh = RollingHash::new();
-        let mut roll = Roll::default();
+        let mut window = [0u8; ROLLING_WINDOW];
         for (i, &b) in data.iter().enumerate() {
-            let dropped = if i >= ROLLING_WINDOW {
-                data[i - ROLLING_WINDOW]
-            } else {
-                0
-            };
-            assert_eq!(rh.update(b), roll.step(b, dropped), "byte {i}");
+            window.rotate_left(1);
+            window[ROLLING_WINDOW - 1] = b;
+            assert_eq!(rh.update(b), window_value(&window), "byte {i}");
+        }
+    }
+
+    #[test]
+    fn low_byte_depends_on_the_weighted_sum_and_two_shifted_bytes() {
+        let mut state = 0x9E37_79B9u32;
+        for _ in 0..1000 {
+            let window: [u8; ROLLING_WINDOW] = std::array::from_fn(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                state as u8
+            });
+            let [b6, b5, b4, b3, b2, b1, b0] = window;
+            let weighted = [b0, b1, b2, b3, b4, b5, b6]
+                .iter()
+                .enumerate()
+                .fold(0u8, |acc, (j, &b)| {
+                    acc.wrapping_add((8 - j as u8).wrapping_mul(b))
+                });
+            let low = weighted.wrapping_add(b0 ^ (b1 << 5));
+            assert_eq!(window_value(&window) as u8, low, "{window:?}");
         }
     }
 
@@ -174,6 +195,6 @@ mod tests {
         let expected: u32 = ((ROLLING_WINDOW * 2)..(ROLLING_WINDOW * 3))
             .map(|i| (i % 251) as u32)
             .sum();
-        assert_eq!(rh.roll.h1, expected);
+        assert_eq!(rh.h1, expected);
     }
 }

@@ -7,6 +7,7 @@ use binary::elf::{ElfBuilder, ElfFile};
 use binary::strings::strings_blob;
 use binary::symbols::symbols_blob;
 use ssdeep::blocksize::initial_blocksize;
+use ssdeep::rolling_hash::roll_over;
 use ssdeep::{
     compare, compare_prepared, damerau_levenshtein, fuzzy_hash_bytes, fuzzy_hash_bytes_oracle,
     levenshtein, weighted_edit_distance, FuzzyHash, PreparedHash,
@@ -135,6 +136,109 @@ fn engine_equals_oracle() {
     }
 
     assert!(deep > 0, "no case reached the engine's fallback passes");
+}
+
+/// The levels the engine's first phase scans for an input of `len` bytes
+/// (before any fallback): `lo`, `lo + 1` and `lo + 2`, with `lo + 1` the
+/// initial estimate's level (or 1).
+fn scan_level(len: usize) -> u32 {
+    (initial_blocksize(len) / 3).trailing_zeros().max(1) - 1
+}
+
+/// `len` random bytes, eight per generator step.
+fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
+    let mut data: Vec<u8> = (0..len.div_ceil(8))
+        .flat_map(|_| g.next().to_le_bytes())
+        .collect();
+    data.truncate(len);
+    data
+}
+
+/// `len` random bytes whose rolling value lands on a chunk boundary at
+/// every level up to `level` (`value + 1` a multiple of `3 << level`),
+/// with no bytes before them, if a few thousand tries find some.
+fn boundary_bytes(g: &mut Gen, len: usize, level: u32) -> Option<Vec<u8>> {
+    (0..1 << 14)
+        .map(|_| random_bytes(g, len))
+        .find(|bytes| (u64::from(roll_over(bytes)) + 1) % (3 << level) == 0)
+}
+
+/// The engine's new edges: inputs around its 64-byte blocks, boundaries
+/// whose rolling window reaches back before the input or that fall on its
+/// last byte, signatures that fill up, and every width of the candidate
+/// filter (`lo` up to 8 bits is exact, above it a filter).
+#[test]
+fn engine_equals_oracle_at_block_and_level_edges() {
+    let mut g = Gen(14);
+    for k in [0, 1, 2, 3, 10, 100] {
+        for len in [63, 64, 65, 71, 72].map(|len| len + 64 * k) {
+            assert_engine_equals_oracle(&random_bytes(&mut g, len), "random at a block edge");
+            let mut zero_tail = random_bytes(&mut g, len);
+            let n = zero_tail.len().min(7);
+            zero_tail[len - n..].fill(0);
+            assert_engine_equals_oracle(&zero_tail, "zero tail at a block edge");
+            let ramp: Vec<u8> = (0..len).map(|i| (i / 5) as u8).collect();
+            assert_engine_equals_oracle(&ramp, "ramp at a block edge");
+        }
+    }
+
+    for len in [1_000, 20_000, 100_000] {
+        let lo = scan_level(len);
+        // A boundary at the lowest scanned level inside the first 7 bytes,
+        // where the window still holds the zeros before the input (a byte
+        // or two cannot reach the higher levels' multiples).
+        let mut heads = 0;
+        for head in 1..=7 {
+            let Some(mut data) = boundary_bytes(&mut g, head, lo) else {
+                continue;
+            };
+            data.extend(random_bytes(&mut g, len - head));
+            assert_engine_equals_oracle(&data, "boundary in the first 7 bytes");
+            heads += 1;
+        }
+        assert!(heads >= 4, "too few early boundaries at lo {lo}");
+        // A boundary on the last byte at every scanned level: the tail
+        // character hashes an empty chunk. Seven trailing zeros end on
+        // value 0: no tail character.
+        let mut data = random_bytes(&mut g, len - 7);
+        data.extend(boundary_bytes(&mut g, 7, lo + 2).expect("seven bytes reach any level"));
+        assert_engine_equals_oracle(&data, "boundary on the last byte");
+        let mut data = random_bytes(&mut g, len - 7);
+        data.extend([0; 7]);
+        assert_engine_equals_oracle(&data, "no tail character");
+
+        // A 16-byte period with a boundary above the chosen level: more
+        // than 63 chunk ends at it and more than 31 at the next.
+        let period = loop {
+            let period = random_bytes(&mut g, 16);
+            let twice = period.repeat(2);
+            let hit = (16..32)
+                .any(|end| (u64::from(roll_over(&twice[..end])) + 1) % (3 << (lo + 2)) == 0);
+            if hit {
+                break period;
+            }
+        };
+        let data: Vec<u8> = period.iter().copied().cycle().take(len).collect();
+        assert_engine_equals_oracle(&data, "full signatures");
+        let h = fuzzy_hash_bytes(&data);
+        assert!(
+            h.signature().len() >= 63 && h.signature_double().len() >= 31,
+            "{h}"
+        );
+    }
+
+    // The candidate filter at `lo` = 7, 8 and 9, and a fallback pass.
+    for lo in [7, 8, 9] {
+        let len = (3 << (lo + 1)) * 64;
+        assert_eq!(scan_level(len), lo);
+        assert_engine_equals_oracle(&random_bytes(&mut g, len), "random at lo 7..9");
+        let ramp: Vec<u8> = (0..len).map(|i| (i / 700) as u8).collect();
+        assert_engine_equals_oracle(&ramp, "ramp at lo 7..9");
+    }
+    // `lo` = 17: an input past 24 MiB.
+    let len = (3 << 17) * 64 + 1;
+    assert_eq!(scan_level(len), 17);
+    assert_engine_equals_oracle(&random_bytes(&mut g, len), "random at lo 17");
 }
 
 /// Hashing is deterministic and the textual form round-trips.
@@ -299,6 +403,54 @@ fn bounded_distance_equals_oracle_for_every_limit() {
                         oracle > limit,
                         "spurious rejection of {a:?} vs {b:?} at {limit}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// The bounded kernel is exact where its lane count switches (the shorter
+/// input's length rounded up to 16) and past 64 bytes, where it hands the
+/// pair to the oracle: both argument orders, every limit, unrelated pairs
+/// and near-copies (whose distances stay under tight limits).
+#[test]
+fn bounded_distance_equals_oracle_at_lane_count_edges() {
+    use ssdeep::{weighted_edit_distance_bounded, BoundedDistance};
+    const EDGES: [usize; 13] = [15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80];
+    let mut g = Gen(15);
+    let fixed = |g: &mut Gen, len: usize| loop {
+        let s = g.b64_string(len);
+        if s.len() == len {
+            return s;
+        }
+    };
+    for (i, &la) in EDGES.iter().enumerate() {
+        for &lb in &EDGES[i..] {
+            let a = fixed(&mut g, la);
+            let unrelated = fixed(&mut g, lb);
+            // `a` grown to `lb` bytes with a few substitutions and swaps.
+            let mut near: Vec<u8> = a.bytes().chain(unrelated.bytes()).take(lb).collect();
+            for _ in 0..3 {
+                let at = g.range(0, lb - 1);
+                near.swap(at, at + 1);
+                near[g.range(0, lb)] = b'Z';
+            }
+            let near = String::from_utf8(near).expect("base64 is ASCII");
+            for b in [&unrelated, &near] {
+                let oracle = weighted_edit_distance(&a, b);
+                for limit in 0..=(la + lb + 1) {
+                    for (x, y) in [(a.as_str(), b.as_str()), (b.as_str(), a.as_str())] {
+                        let want = if oracle <= limit {
+                            BoundedDistance::Exact(oracle)
+                        } else {
+                            BoundedDistance::AtLeast(limit + 1)
+                        };
+                        assert_eq!(
+                            weighted_edit_distance_bounded(x, y, limit),
+                            want,
+                            "{x:?} vs {y:?} at {limit}"
+                        );
+                    }
                 }
             }
         }
