@@ -425,27 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_counts_and_oracle_fallback_agree_with_the_oracle() {
-        // Shorter lengths on both sides of each lane-count switch, and
-        // longer inputs that leave the lanes for the oracle.
-        let text = |len: usize, salt: usize| -> String {
-            (0..len)
-                .map(|i| (b'A' + ((i * 7 + i / 3 + salt) % 5) as u8) as char)
-                .collect()
-        };
-        for short in [1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80] {
-            for extra in [0, 1, 9] {
-                let (a, b) = (text(short, 0), text(short + extra, 3));
-                let d = wed(&a, &b);
-                for (x, y) in [(&a, &b), (&b, &a)] {
-                    let got = weighted_edit_distance_bounded(x, y, x.len() + y.len());
-                    assert_eq!(got, BoundedDistance::Exact(d), "({x:?},{y:?})");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_adjacent_pair_swapped() {
         // Transposition-heavy pairs: every cell of the result reads the
         // diagonal four back.

@@ -174,8 +174,9 @@ pub fn fuzzy_hash_bytes_oracle(data: &[u8]) -> FuzzyHash {
 const LONG: usize = SPAM_SUM_LENGTH - 1;
 const SHORT: usize = SPAM_SUM_LENGTH / 2 - 1;
 
-/// The first `N` chunk ends (inclusive byte indices) found at one level,
-/// with one spare slot so that recording an end needs no branch.
+/// The first `N` chunk ends (inclusive byte indices) found at one level.
+/// `N` is below the array's length, so recording an end can store into
+/// the next slot unconditionally, with no branch.
 struct Ends<const N: usize> {
     at: [usize; SPAM_SUM_LENGTH],
     len: usize,

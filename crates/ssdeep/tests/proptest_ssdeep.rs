@@ -55,11 +55,15 @@ fn assert_engine_equals_oracle(data: &[u8], what: &str) -> bool {
     engine.block_size() <= initial_blocksize(data.len()) / 4
 }
 
-/// The one-pass engine is byte-identical to the halve-and-rehash oracle at
-/// every block-size class: tiny inputs, lengths on either side of each
+/// The two-phase engine is byte-identical to the halve-and-rehash oracle
+/// at every block-size class: tiny inputs, lengths on either side of each
 /// initial-block-size step, random and patterned content, low-entropy
 /// content that misses the first two candidates, and real ELF images with
-/// their strings and symbols views.
+/// their strings and symbols views. Then the engine's own edges: inputs
+/// around its 64-byte blocks, boundaries whose rolling window reaches back
+/// before the input or that fall on its last byte, signatures that fill
+/// up, and every width of the candidate filter (`lo` up to 8 bits is
+/// exact, above it a filter).
 #[test]
 fn engine_equals_oracle() {
     let mut g = Gen(13);
@@ -135,41 +139,7 @@ fn engine_equals_oracle() {
         check(&symbols_blob(&elf), "ELF symbols view");
     }
 
-    assert!(deep > 0, "no case reached the engine's fallback passes");
-}
-
-/// The levels the engine's first phase scans for an input of `len` bytes
-/// (before any fallback): `lo`, `lo + 1` and `lo + 2`, with `lo + 1` the
-/// initial estimate's level (or 1).
-fn scan_level(len: usize) -> u32 {
-    (initial_blocksize(len) / 3).trailing_zeros().max(1) - 1
-}
-
-/// `len` random bytes, eight per generator step.
-fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
-    let mut data: Vec<u8> = (0..len.div_ceil(8))
-        .flat_map(|_| g.next().to_le_bytes())
-        .collect();
-    data.truncate(len);
-    data
-}
-
-/// `len` random bytes whose rolling value lands on a chunk boundary at
-/// every level up to `level` (`value + 1` a multiple of `3 << level`),
-/// with no bytes before them, if a few thousand tries find some.
-fn boundary_bytes(g: &mut Gen, len: usize, level: u32) -> Option<Vec<u8>> {
-    (0..1 << 14)
-        .map(|_| random_bytes(g, len))
-        .find(|bytes| (u64::from(roll_over(bytes)) + 1) % (3 << level) == 0)
-}
-
-/// The engine's new edges: inputs around its 64-byte blocks, boundaries
-/// whose rolling window reaches back before the input or that fall on its
-/// last byte, signatures that fill up, and every width of the candidate
-/// filter (`lo` up to 8 bits is exact, above it a filter).
-#[test]
-fn engine_equals_oracle_at_block_and_level_edges() {
-    let mut g = Gen(14);
+    // Inputs around the 64-byte blocks phase 1 scans.
     for k in [0, 1, 2, 3, 10, 100] {
         for len in [63, 64, 65, 71, 72].map(|len| len + 64 * k) {
             assert_engine_equals_oracle(&random_bytes(&mut g, len), "random at a block edge");
@@ -227,7 +197,7 @@ fn engine_equals_oracle_at_block_and_level_edges() {
         );
     }
 
-    // The candidate filter at `lo` = 7, 8 and 9, and a fallback pass.
+    // The candidate filter at `lo` = 7, 8 and 9, on random and ramp content.
     for lo in [7, 8, 9] {
         let len = (3 << (lo + 1)) * 64;
         assert_eq!(scan_level(len), lo);
@@ -239,6 +209,33 @@ fn engine_equals_oracle_at_block_and_level_edges() {
     let len = (3 << 17) * 64 + 1;
     assert_eq!(scan_level(len), 17);
     assert_engine_equals_oracle(&random_bytes(&mut g, len), "random at lo 17");
+
+    assert!(deep > 0, "no case reached the engine's fallback passes");
+}
+
+/// The levels the engine's first phase scans for an input of `len` bytes
+/// (before any fallback): `lo`, `lo + 1` and `lo + 2`, with `lo + 1` the
+/// initial estimate's level (or 1).
+fn scan_level(len: usize) -> u32 {
+    (initial_blocksize(len) / 3).trailing_zeros().max(1) - 1
+}
+
+/// `len` random bytes, eight per generator step.
+fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
+    let mut data: Vec<u8> = (0..len.div_ceil(8))
+        .flat_map(|_| g.next().to_le_bytes())
+        .collect();
+    data.truncate(len);
+    data
+}
+
+/// `len` random bytes whose rolling value lands on a chunk boundary at
+/// every level up to `level` (`value + 1` a multiple of `3 << level`),
+/// with no bytes before them, if a few thousand tries find some.
+fn boundary_bytes(g: &mut Gen, len: usize, level: u32) -> Option<Vec<u8>> {
+    (0..1 << 14)
+        .map(|_| random_bytes(g, len))
+        .find(|bytes| (u64::from(roll_over(bytes)) + 1) % (3 << level) == 0)
 }
 
 /// Hashing is deterministic and the textual form round-trips.
