@@ -20,11 +20,12 @@
 //!   list replica endpoints serving the same classes. A request goes to the
 //!   preferred node first; if no reply lands within a rolling
 //!   latency-percentile deadline, the same frame is *hedged* to the next
-//!   replica and the first valid response wins. The loser's reply is
-//!   drained through the mux's abandoned-id bookkeeping
-//!   ([`hpcutil::Mux`]), so a late duplicate can never corrupt another
-//!   request — and a node that fails outright fails over to its replicas
-//!   immediately, without waiting for the hedge deadline.
+//!   replica and the first valid response wins. The loser's id stays
+//!   registered on its connection ([`hpcutil::Mux`]) until its reply
+//!   lands, and the finished race ignores that reply, so a late duplicate
+//!   can never corrupt another request — and a node that fails outright
+//!   fails over to its replicas immediately, without waiting for the
+//!   hedge deadline.
 //! - **Live re-partitioning** ([`FleetView::admit`] /
 //!   [`FleetView::evict`]): joining or leaving workers re-deal the classes
 //!   round-robin through the existing `Assign` frame — an exact cover by
@@ -52,13 +53,19 @@
 //!   answering for the wrong tenant surfaces as the typed
 //!   [`NetError::Tenant`], never as a silent empty row.
 //!
-//! Scoring goes through [`FleetBackend`] on the calling thread: a query is
-//! fired at every shard before any reply is awaited, and the replies are
-//! polled in one loop. The [`Gateway`](crate::shardnet::Gateway) drives
-//! the same start/poll path from one batcher thread per member. Rows are
-//! byte-identical to every other backend: the winning node scores through
-//! the same prepared index, and `merge_partial_row` rejects any cell
-//! outside the member's partition.
+//! Each request to a member is a *race* across its nodes. Only its owner
+//! submits, dials, hedges and fails over. The fired nodes' completions
+//! settle it on their muxes' reader threads: the first reply wins, records
+//! its latency, marks its node up and delivers; a failed node is marked
+//! down and wakes the owner; a finished race ignores late replies.
+//! Completions never block and never own a connection: the health and
+//! latency they update live apart from the muxes. [`FleetBackend`]'s
+//! calling thread drives its races, blocking on one bounded channel until
+//! an outcome, a wake or the earliest hedge deadline; the
+//! [`Gateway`](crate::shardnet::Gateway) drives them from one batcher
+//! thread per member. Rows are byte-identical to every other backend: the
+//! winning node scores through the same prepared index, and
+//! `merge_partial_row` rejects any cell outside the member's partition.
 
 use crate::artifact::ArtifactDelta;
 use crate::backend::{round_robin_partition, SimilarityBackend};
@@ -71,10 +78,11 @@ use crate::shardnet::remote::{
 use crate::shardnet::wire::{self, ClientReply, Frame, Hello};
 use crate::shardnet::{Endpoint, NetError, SplitConn};
 use crate::similarity::ReferenceSet;
-use hpcutil::{Mux, PendingReply};
+use hpcutil::{Mux, MuxError};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 /// How many latency samples each rolling window keeps. Small enough that
@@ -98,10 +106,6 @@ const HEDGE_MIN: Duration = Duration::from_millis(1);
 /// a hedge that can never fire before the request is declared lost would
 /// be no hedge at all.
 const HEDGE_MAX: Duration = Duration::from_secs(1);
-
-/// How long one reply-poll iteration waits before checking the other
-/// in-flight hedges and the hedge deadline.
-const POLL_QUANTUM: Duration = Duration::from_micros(500);
 
 /// A source of monotonic time for the fleet's backoff scheduling.
 ///
@@ -457,9 +461,71 @@ struct FleetNode {
     pushed: AtomicBool,
     /// The live multiplexer; swapped for a fresh connection on redial.
     mux: Mutex<Mux<ClientReply>>,
+}
+
+/// One node's health and recent latencies; `peer` names its endpoint.
+#[derive(Debug)]
+struct NodeStats {
+    peer: String,
     health: Mutex<Health>,
     /// This node's own recent latencies, ordering replica preference.
     window: LatencyWindow,
+}
+
+/// What a member's races update, kept apart from its connections so that
+/// a completion never owns a mux.
+#[derive(Debug)]
+struct MemberStats {
+    /// One per node, in node order.
+    nodes: Vec<NodeStats>,
+    /// Shard-level latencies of *winning* requests, setting the hedge
+    /// deadline.
+    window: LatencyWindow,
+    clock: Arc<dyn FleetClock>,
+    /// The fleet's timing knobs, inherited from its topology.
+    tuning: FleetTuning,
+}
+
+impl MemberStats {
+    fn health(&self, node: usize) -> MutexGuard<'_, Health> {
+        self.nodes[node]
+            .health
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Record a node failure: mark it down and schedule its next redial
+    /// per the backoff policy.
+    fn mark_down(&self, node: usize) {
+        let mut health = self.health(node);
+        let failures = match *health {
+            Health::Down { failures, .. } => failures.saturating_add(1),
+            Health::Healthy => 1,
+        };
+        let retry_at = self.clock.now() + self.tuning.backoff.delay_for(failures);
+        *health = Health::Down { failures, retry_at };
+    }
+
+    fn mark_up(&self, node: usize) {
+        *self.health(node) = Health::Healthy;
+    }
+
+    /// Refuse a node that is down and whose backoff deadline has not
+    /// passed, without touching the network.
+    fn gate(&self, node: usize) -> Result<(), NetError> {
+        match *self.health(node) {
+            Health::Down { failures, retry_at } if self.clock.now() < retry_at => {
+                Err(NetError::WorkerLost {
+                    peer: self.nodes[node].peer.clone(),
+                    detail: format!(
+                        "node is down ({failures} consecutive failures) and its \
+                         backoff deadline has not passed"
+                    ),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// One shard of the live fleet: its class partition and its nodes
@@ -468,11 +534,7 @@ struct FleetNode {
 pub struct FleetMember {
     classes: Vec<usize>,
     nodes: Vec<FleetNode>,
-    /// Shard-level latencies of *winning* requests, setting the hedge
-    /// deadline.
-    window: LatencyWindow,
-    /// The fleet's timing knobs, inherited from its topology.
-    tuning: FleetTuning,
+    stats: Arc<MemberStats>,
 }
 
 impl FleetMember {
@@ -488,7 +550,8 @@ impl FleetMember {
     /// configuration.
     fn candidate_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-        order.sort_by_key(|&i| self.nodes[i].window.median().unwrap_or(Duration::ZERO));
+        let median = |i: usize| self.stats.nodes[i].window.median();
+        order.sort_by_key(|&i| median(i).unwrap_or(Duration::ZERO));
         order
     }
 
@@ -499,11 +562,13 @@ impl FleetMember {
     /// empty (the defaults are [`HEDGE_MIN`], [`HEDGE_MAX`],
     /// [`HEDGE_COLD_START`]).
     fn hedge_delay(&self) -> Duration {
-        self.window
+        let tuning = &self.stats.tuning;
+        self.stats
+            .window
             .percentile(HEDGE_PERCENTILE)
-            .map_or(self.tuning.hedge_cold, |p| {
+            .map_or(tuning.hedge_cold, |p| {
                 p.saturating_mul(2)
-                    .clamp(self.tuning.hedge_min, self.tuning.hedge_max)
+                    .clamp(tuning.hedge_min, tuning.hedge_max)
             })
     }
 }
@@ -520,7 +585,6 @@ pub struct FleetView {
     reference: Arc<ReferenceSet>,
     expect: HandshakeExpect,
     clock: Arc<dyn FleetClock>,
-    backoff: BackoffPolicy,
     /// The topology's [`StaleWorkers`] policy, applied on every redial;
     /// admit and evict keep it.
     stale: StaleWorkers,
@@ -566,12 +630,11 @@ impl FleetView {
             n_columns: reference.n_columns(),
             tenant: tenant.map(str::to_string),
         };
-        let members = build_members(&reference, &expect, &topology, &BTreeMap::new())?;
+        let members = build_members(&reference, &expect, &topology, &BTreeMap::new(), &clock)?;
         Ok(Self {
             reference,
             expect,
             clock,
-            backoff: topology.tuning.backoff,
             stale: topology.stale,
             topology: Mutex::new(topology),
             members: RwLock::new(members),
@@ -650,6 +713,7 @@ impl FleetView {
             &self.expect,
             &proposed,
             &self.deltas_snapshot(),
+            &self.clock,
         )?;
         // Failpoint: a fault between validation and cutover must leave the
         // old fleet serving unchanged — the invariant the chaos soak
@@ -683,6 +747,7 @@ impl FleetView {
             &self.expect,
             &proposed,
             &self.deltas_snapshot(),
+            &self.clock,
         )?;
         crate::shardnet::inject("fleet.cutover", "fleet")?;
         *self.members.write().unwrap_or_else(|p| p.into_inner()) = members;
@@ -690,50 +755,23 @@ impl FleetView {
         Ok(())
     }
 
-    /// Record a node failure: mark it down and schedule its next redial
-    /// per the backoff policy.
-    fn mark_down(&self, node: &FleetNode) {
-        let mut health = node.health.lock().unwrap_or_else(|p| p.into_inner());
-        let failures = match *health {
-            Health::Down { failures, .. } => failures.saturating_add(1),
-            Health::Healthy => 1,
-        };
-        *health = Health::Down {
-            failures,
-            retry_at: self.clock.now() + self.backoff.delay_for(failures),
-        };
-    }
-
-    fn mark_up(&self, node: &FleetNode) {
-        *node.health.lock().unwrap_or_else(|p| p.into_inner()) = Health::Healthy;
-    }
-
-    /// Queue `bytes` on `node`, redialing a poisoned connection first —
-    /// unless the node is down and its backoff deadline has not passed,
-    /// in which case the submit is refused without touching the network.
+    /// Write `bytes` to node `index` of `member` with `complete` registered
+    /// for the reply, redialing a poisoned connection first — unless the
+    /// node is down before its backoff deadline: that refusal (like any
+    /// other) registers nothing and touches no network.
     fn node_submit(
         &self,
-        node: &FleetNode,
+        member: &FleetMember,
+        index: usize,
         id: u64,
         bytes: &[u8],
-    ) -> Result<PendingReply<ClientReply>, NetError> {
+        complete: impl FnOnce(Result<ClientReply, MuxError>, Instant) + Send + 'static,
+    ) -> Result<(), NetError> {
+        let node = &member.nodes[index];
         // Failpoint: a refused submit exercises the hedge machinery — the
-        // caller fails over to the next candidate node immediately.
+        // owner fails over to the next candidate node immediately.
         crate::shardnet::inject("fleet.hedge", &node.endpoint.to_string())?;
-        {
-            let health = node.health.lock().unwrap_or_else(|p| p.into_inner());
-            if let Health::Down { failures, retry_at } = *health {
-                if self.clock.now() < retry_at {
-                    return Err(NetError::WorkerLost {
-                        peer: node.endpoint.to_string(),
-                        detail: format!(
-                            "node is down ({failures} consecutive failures) and its \
-                             backoff deadline has not passed"
-                        ),
-                    });
-                }
-            }
-        }
+        member.stats.gate(index)?;
         let mut mux = node.mux.lock().unwrap_or_else(|p| p.into_inner());
         if mux.is_poisoned() {
             // Failpoint: a failed redial marks the node down, so the backoff
@@ -754,11 +792,11 @@ impl FleetView {
                 Ok((fresh, pushed)) => {
                     *mux = fresh;
                     node.pushed.store(pushed, Ordering::Relaxed);
-                    self.mark_up(node);
+                    member.stats.mark_up(index);
                 }
                 Err(e) => {
                     drop(mux);
-                    self.mark_down(node);
+                    member.stats.mark_down(index);
                     // The connection this node had is gone, and a dial the
                     // OS refuses means the worker is gone with it.
                     return Err(match e {
@@ -771,142 +809,228 @@ impl FleetView {
                 }
             }
         }
-        Ok(mux.submit(id, bytes))
+        mux.submit(id, bytes, complete).map_err(|e| {
+            member.stats.mark_down(index);
+            net_error_from_mux(&node.endpoint.to_string(), e)
+        })
     }
 
-    /// Start racing `bytes` across a member's nodes: fire the preferred
-    /// node (see [`FleetMember::candidate_order`]), or the first node that
-    /// accepts the submit. [`FleetView::poll_request`] drives it to a
-    /// winner.
+    /// Start a race of `bytes` on a member and fire its preferred node
+    /// ([`FleetMember::candidate_order`]). `deliver` gets the outcome once;
+    /// `wake` asks the owner for a [`FleetView::drive`] pass. Both usually
+    /// run on a mux reader thread, so neither may block.
     pub(crate) fn start_request(
         &self,
         member: &Arc<FleetMember>,
         id: u64,
-        bytes: &[u8],
+        bytes: Vec<u8>,
+        deliver: impl FnOnce(RaceOutcome) + Send + 'static,
+        wake: impl Fn() + Send + 'static,
     ) -> HedgedRequest {
-        let mut request = HedgedRequest {
-            member: Arc::clone(member),
-            hedge_delay: member.hedge_delay(),
+        let state = RaceState {
             candidates: member.candidate_order().into_iter(),
-            in_flight: Vec::new(),
+            in_flight: 0,
             last_err: None,
-            started: Instant::now(),
+            deliver: Some(Box::new(deliver)),
+            wake: Box::new(wake),
+            watched: false,
         };
-        self.fire_next(&mut request, id, bytes);
+        let request = HedgedRequest {
+            race: Arc::new(Race {
+                stats: Arc::clone(&member.stats),
+                state: Mutex::new(state),
+            }),
+            member: Arc::clone(member),
+            id,
+            bytes,
+            started: Instant::now(),
+            hedge_delay: member.hedge_delay(),
+        };
+        self.fire_next(&request);
         request
     }
 
-    /// Submit `bytes` to the next candidate node that accepts it. A node
-    /// refusing the submit (down, or its redial failed) is skipped.
-    fn fire_next(&self, request: &mut HedgedRequest, id: u64, bytes: &[u8]) {
-        for node_index in request.candidates.by_ref() {
-            match self.node_submit(&request.member.nodes[node_index], id, bytes) {
-                Ok(pending) => {
-                    request
-                        .in_flight
-                        .push((node_index, pending, Instant::now()));
-                    return;
-                }
-                Err(e) => request.last_err = Some(e),
-            }
+    /// The one wait of every race owner: block on `rx` until a message arrives
+    /// or the earliest deadline of `open` passes, then fire every hedge or
+    /// failover that is due — same id, distinct connection, so the mux
+    /// correlation stays exact.
+    pub(crate) fn drive<T>(
+        &self,
+        rx: &Receiver<T>,
+        open: &[HedgedRequest],
+    ) -> Result<T, RecvTimeoutError> {
+        let received = match open.iter().filter_map(HedgedRequest::next_hedge).min() {
+            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let now = Instant::now();
+        for request in open
+            .iter()
+            .filter(|r| r.next_hedge().is_some_and(|at| at <= now))
+        {
+            self.fire_next(request);
         }
+        received
     }
 
-    /// Advance a started request by one poll, returning its outcome once
-    /// one valid reply wins or every node has failed.
-    ///
-    /// The first in-flight reply is awaited for up to `wait`, the others
-    /// are only checked. Once [`HedgedRequest::next_hedge`] has passed, the
-    /// same frame is fired at the next node — same id, distinct
-    /// connection, so the mux correlation stays exact. A node that *fails*
-    /// (connection lost, remote error) is marked down and the next node
-    /// is tried immediately. The first `Ok` reply wins: its latency,
-    /// measured to when the mux delivered it, feeds the windows, and the
-    /// losing replies are left to the abandoned-id drain. Only when every
-    /// node has failed does the last error surface.
-    pub(crate) fn poll_request(
-        &self,
-        request: &mut HedgedRequest,
-        id: u64,
-        bytes: &[u8],
-        wait: Duration,
-    ) -> Option<Result<(String, ClientReply), NetError>> {
-        let member = &request.member;
-        let mut i = 0;
-        while i < request.in_flight.len() {
-            let (node_index, pending, fired_at) = &mut request.in_flight[i];
-            match pending.poll_timeout(if i == 0 { wait } else { Duration::ZERO }) {
-                Some(Ok(reply)) => {
-                    let node = &member.nodes[*node_index];
-                    let arrived = pending.arrived_at().unwrap_or_else(Instant::now);
-                    let elapsed = arrived.saturating_duration_since(*fired_at);
-                    node.window.record(elapsed);
-                    member.window.record(elapsed);
-                    self.mark_up(node);
-                    return Some(Ok((node.endpoint.to_string(), reply)));
+    /// Submit the frame to the next candidate node that accepts it, or fail
+    /// the race with the last error once none is left or in flight. Never
+    /// holds the race lock across a submit: a completion may need it while
+    /// the write blocks.
+    fn fire_next(&self, request: &HedgedRequest) {
+        let race = &request.race;
+        loop {
+            let node = {
+                let mut st = race.lock();
+                match st.candidates.next() {
+                    Some(node) if st.deliver.is_some() => {
+                        st.in_flight += 1;
+                        node
+                    }
+                    _ if st.in_flight == 0 => {
+                        let err = st.last_err.take().unwrap_or_else(|| {
+                            NetError::Partition("shard has no reachable node".into())
+                        });
+                        return race.finish(st, Err(err));
+                    }
+                    _ => return,
                 }
-                Some(Err(e)) => {
-                    let node = &member.nodes[*node_index];
-                    self.mark_down(node);
-                    request.last_err = Some(net_error_from_mux(&node.endpoint.to_string(), e));
-                    request.in_flight.swap_remove(i);
+            };
+            let settle = Arc::clone(race);
+            let fired_at = Instant::now();
+            let complete = move |result, arrived| settle.settle(node, fired_at, result, arrived);
+            match self.node_submit(&request.member, node, request.id, &request.bytes, complete) {
+                Ok(()) => return,
+                Err(e) => {
+                    let mut st = race.lock();
+                    st.in_flight -= 1;
+                    st.last_err = Some(e);
                 }
-                None => i += 1,
             }
         }
-        if request.in_flight.is_empty()
-            || request.next_hedge().is_some_and(|at| Instant::now() >= at)
-        {
-            self.fire_next(request, id, bytes);
-        }
-        if request.in_flight.is_empty() {
-            return Some(Err(request.last_err.take().unwrap_or_else(|| {
-                NetError::Partition("shard has no reachable node".into())
-            })));
-        }
-        None
     }
 }
 
-/// One member's request in flight, between [`FleetView::start_request`] and
-/// the [`FleetView::poll_request`] that returns its outcome. It owns its
-/// member, so one thread can start it and another drive it to a winner.
-pub(crate) struct HedgedRequest {
-    member: Arc<FleetMember>,
-    hedge_delay: Duration,
+/// A finished race: the winning node's peer and reply, or the last failure.
+pub(crate) type RaceOutcome = Result<(String, ClientReply), NetError>;
+
+/// A race's outcome as the reply to a batch of `n` queries, or an error.
+pub(crate) fn batch_reply(
+    outcome: RaceOutcome,
+    n: usize,
+) -> Result<(String, wire::ScoreBatchResponse), NetError> {
+    let (peer, reply) = outcome?;
+    let detail = match reply {
+        ClientReply::Batch(batch) if batch.rows.len() == n => return Ok((peer, batch)),
+        ClientReply::Batch(batch) => format!("{} response rows for {n} queries", batch.rows.len()),
+        ClientReply::Score(_) => "single response answering a batch request".into(),
+        ClientReply::Overload(o) => {
+            return Err(NetError::Overload {
+                peer,
+                retry_after_ms: o.retry_after_ms,
+            })
+        }
+    };
+    Err(NetError::Protocol { peer, detail })
+}
+
+/// One request racing across a member's nodes, shared by its owner and
+/// the completions of the nodes fired.
+struct Race {
+    stats: Arc<MemberStats>,
+    state: Mutex<RaceState>,
+}
+
+struct RaceState {
     /// Nodes not yet fired at, in preference order.
     candidates: std::vec::IntoIter<usize>,
-    /// `(node index, pending reply, fired at)` per node fired at.
-    in_flight: Vec<(usize, PendingReply<ClientReply>, Instant)>,
+    /// Nodes fired at whose outcome has not arrived.
+    in_flight: usize,
     last_err: Option<NetError>,
+    /// Taken by whoever finishes the race.
+    deliver: Option<Box<dyn FnOnce(RaceOutcome) + Send>>,
+    wake: Box<dyn Fn() + Send>,
+    /// Whether the owner also wants a wake when the race finishes.
+    watched: bool,
+}
+
+impl Race {
+    fn lock(&self) -> MutexGuard<'_, RaceState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Settle one fired node's outcome, on its mux's reader thread. The
+    /// first reply wins: its latency, to when the mux delivered it, feeds
+    /// the windows. A failed node is marked down and wakes the owner to
+    /// fire the next candidate or fail the race. Late replies are ignored.
+    fn settle(
+        &self,
+        node: usize,
+        fired_at: Instant,
+        result: Result<ClientReply, MuxError>,
+        arrived: Instant,
+    ) {
+        let stats = &self.stats.nodes[node];
+        let mut st = self.lock();
+        st.in_flight -= 1;
+        if st.deliver.is_none() {
+            return;
+        }
+        match result {
+            Ok(reply) => {
+                let elapsed = arrived.saturating_duration_since(fired_at);
+                stats.window.record(elapsed);
+                self.stats.window.record(elapsed);
+                self.stats.mark_up(node);
+                self.finish(st, Ok((stats.peer.clone(), reply)));
+            }
+            Err(e) => {
+                self.stats.mark_down(node);
+                st.last_err = Some(net_error_from_mux(&stats.peer, e));
+                (st.wake)();
+            }
+        }
+    }
+
+    /// Deliver `outcome` outside the lock, unless the race has finished.
+    fn finish(&self, mut st: MutexGuard<'_, RaceState>, outcome: RaceOutcome) {
+        if let Some(deliver) = st.deliver.take() {
+            if st.watched {
+                (st.wake)();
+            }
+            drop(st);
+            deliver(outcome);
+        }
+    }
+}
+
+/// An owner's handle on a started race, with the frame kept for hedges.
+pub(crate) struct HedgedRequest {
+    member: Arc<FleetMember>,
+    race: Arc<Race>,
+    id: u64,
+    bytes: Vec<u8>,
     started: Instant,
+    hedge_delay: Duration,
 }
 
 impl HedgedRequest {
-    /// When the next hedge is due — one [`FleetMember::hedge_delay`] past
-    /// the request's start per node already in flight — or `None` once
-    /// every node has been fired at.
-    fn next_hedge(&self) -> Option<Instant> {
-        (!self.candidates.as_slice().is_empty())
-            .then(|| self.started + self.hedge_delay.saturating_mul(self.in_flight.len() as u32))
+    /// When the owner should next fire a node (or fail the race): one
+    /// [`FleetMember::hedge_delay`] past the start per node in flight;
+    /// `None` once finished, or while nothing is left to fire.
+    pub(crate) fn next_hedge(&self) -> Option<Instant> {
+        let st = self.race.lock();
+        let can_fire = st.in_flight == 0 || !st.candidates.as_slice().is_empty();
+        (st.deliver.is_some() && can_fire)
+            .then(|| self.started + self.hedge_delay.saturating_mul(st.in_flight as u32))
     }
 
-    /// How long the next [`FleetView::poll_request`] of a caller driving
-    /// only this request may block: until the next hedge is due, or on the
-    /// reply itself when none is due and at most one node is in flight
-    /// (`Duration::MAX`, which `recv_timeout` waits out like `recv`; the
-    /// mux's reply deadline bounds that wait). With several nodes in
-    /// flight every poll also checks the others, so it waits at most
-    /// [`POLL_QUANTUM`].
-    pub(crate) fn patience(&self) -> Duration {
-        let until_hedge = self
-            .next_hedge()
-            .map(|at| at.saturating_duration_since(Instant::now()));
-        match (self.in_flight.len(), until_hedge) {
-            (0 | 1, None) => Duration::MAX,
-            (0 | 1, Some(wait)) => wait,
-            (_, wait) => wait.map_or(POLL_QUANTUM, |wait| wait.min(POLL_QUANTUM)),
-        }
+    /// Whether the race has not finished yet; with `watch`, the owner is
+    /// also woken when it does — what a draining owner waits on.
+    pub(crate) fn is_running(&self, watch: bool) -> bool {
+        let mut st = self.race.lock();
+        st.watched |= watch;
+        st.deliver.is_some()
     }
 }
 
@@ -917,6 +1041,7 @@ fn build_members(
     expect: &HandshakeExpect,
     topology: &FleetTopology,
     deltas: &BTreeMap<u64, Arc<ArtifactDelta>>,
+    clock: &Arc<dyn FleetClock>,
 ) -> Result<Vec<Arc<FleetMember>>, NetError> {
     let shards = &topology.shards;
     if shards.is_empty() {
@@ -945,16 +1070,26 @@ fn build_members(
                         classes: classes.clone(),
                         pushed: AtomicBool::new(pushed),
                         mux: Mutex::new(mux),
-                        health: Mutex::new(Health::Healthy),
-                        window: LatencyWindow::default(),
                     })
                 })
                 .collect::<Result<Vec<_>, NetError>>()?;
+            let stats = Arc::new(MemberStats {
+                nodes: shard
+                    .endpoints()
+                    .map(|endpoint| NodeStats {
+                        peer: endpoint.to_string(),
+                        health: Mutex::new(Health::Healthy),
+                        window: LatencyWindow::default(),
+                    })
+                    .collect(),
+                window: LatencyWindow::default(),
+                clock: Arc::clone(clock),
+                tuning: topology.tuning,
+            });
             Ok(Arc::new(FleetMember {
                 classes,
                 nodes,
-                window: LatencyWindow::default(),
-                tuning: topology.tuning,
+                stats,
             }))
         })
         .collect()
@@ -1188,45 +1323,47 @@ fn push_delta(
     read_hello(conn.reader(), peer)
 }
 
-/// Send one request to every member and collect the per-member outcomes in
-/// member order, on the calling thread.
+/// Race one request on every member and collect the outcomes in member
+/// order, on the calling thread.
 ///
-/// Every member is started before any is polled, so every member's
-/// preferred node is in flight at once; the mux threads do the blocking.
-/// Each pass then polls every open member: only the first waits, and never
-/// past [`POLL_QUANTUM`] or the earliest hedge deadline, so every member
-/// hedges on time however slow the others are. Latencies are measured to
-/// each reply's delivery, not to the pass that noticed it.
+/// Every member's preferred node is fired before anything is awaited. The
+/// caller then blocks on one channel until an outcome, a failed node's
+/// wake or the earliest hedge deadline, so every member hedges on time
+/// however slow the others are.
 fn scatter(
     view: &FleetView,
     members: &[Arc<FleetMember>],
     id: u64,
     bytes: &[u8],
-) -> Vec<Result<(String, ClientReply), NetError>> {
-    let mut open: Vec<(usize, HedgedRequest)> = members
+) -> Vec<RaceOutcome> {
+    // A race delivers once and wakes its owner at most once per node, so
+    // no send into this channel can find it full.
+    let bound = members.iter().map(|m| m.nodes.len() + 1).sum();
+    let (events_tx, events) = mpsc::sync_channel(bound);
+    let requests: Vec<HedgedRequest> = members
         .iter()
-        .map(|member| view.start_request(member, id, bytes))
         .enumerate()
+        .map(|(i, member)| {
+            let (done, wake) = (events_tx.clone(), events_tx.clone());
+            let deliver = move |outcome| drop(done.try_send(Some((i, outcome))));
+            let wake = move || drop(wake.try_send(None));
+            view.start_request(member, id, bytes.to_vec(), deliver, wake)
+        })
         .collect();
-    let mut done = Vec::with_capacity(open.len());
-    while !open.is_empty() {
-        let now = Instant::now();
-        let mut wait = open
-            .iter()
-            .filter_map(|(_, request)| request.next_hedge())
-            .map(|at| at.saturating_duration_since(now))
-            .fold(POLL_QUANTUM, Duration::min);
-        let mut k = 0;
-        while k < open.len() {
-            match view.poll_request(&mut open[k].1, id, bytes, wait) {
-                Some(outcome) => done.push((open.swap_remove(k).0, outcome)),
-                None => k += 1,
-            }
-            wait = Duration::ZERO;
+    let mut outcomes: Vec<Option<RaceOutcome>> = members.iter().map(|_| None).collect();
+    while outcomes.iter().any(Option::is_none) {
+        match view.drive(&events, &requests) {
+            Ok(Some((i, outcome))) => outcomes[i] = Some(outcome),
+            Ok(None) | Err(RecvTimeoutError::Timeout) => {}
+            // Unreachable while `events_tx` lives; never spin on it.
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    done.sort_unstable_by_key(|(member, _)| *member);
-    done.into_iter().map(|(_, outcome)| outcome).collect()
+    let lost = || Err(NetError::Partition("no outcome arrived".into()));
+    outcomes
+        .into_iter()
+        .map(|o| o.unwrap_or_else(lost))
+        .collect()
 }
 
 /// A [`SimilarityBackend`] scoring through a [`FleetView`]: fans each query
@@ -1294,34 +1431,13 @@ impl FleetBackend {
         self.view.tenant()
     }
 
-    /// Fan one query out across the fleet — hedged per member — and
-    /// max-merge the winning partial rows into `out`.
+    /// Score one query as a batch of one and write its max-merged row
+    /// into `out`.
     fn fan_out(&self, query: &PreparedSampleFeatures, out: &mut [f64]) -> Result<(), NetError> {
         assert_eq!(out.len(), self.reference.n_columns(), "row width mismatch");
-        out.fill(0.0);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let request_bytes = wire::score_request_bytes(id, query);
-        let members = self.view.members();
-        let replies = scatter(&self.view, &members, id, &request_bytes);
-        let n_classes = self.reference.n_classes();
-        for (member, outcome) in members.iter().zip(replies) {
-            let (peer, reply) = outcome?;
-            let response = match reply {
-                ClientReply::Score(response) => response,
-                ClientReply::Overload(o) => {
-                    return Err(NetError::Overload {
-                        peer,
-                        retry_after_ms: o.retry_after_ms,
-                    });
-                }
-                ClientReply::Batch(_) => {
-                    return Err(NetError::Protocol {
-                        peer,
-                        detail: "batch response answering a single-query request".into(),
-                    });
-                }
-            };
-            merge_partial_row(&peer, &member.classes, n_classes, response.cells, out)?;
+        let rows = self.try_feature_rows_prepared(std::slice::from_ref(query))?;
+        for row in rows {
+            out.copy_from_slice(&row);
         }
         Ok(())
     }
@@ -1347,32 +1463,7 @@ impl FleetBackend {
             let bytes = wire::score_batch_request_bytes(id, chunk);
             let replies = scatter(&self.view, &members, id, &bytes);
             for (member, outcome) in members.iter().zip(replies) {
-                let (peer, reply) = outcome?;
-                let batch = match reply {
-                    ClientReply::Batch(batch) => batch,
-                    ClientReply::Overload(o) => {
-                        return Err(NetError::Overload {
-                            peer,
-                            retry_after_ms: o.retry_after_ms,
-                        });
-                    }
-                    ClientReply::Score(_) => {
-                        return Err(NetError::Protocol {
-                            peer,
-                            detail: "single response answering a batch request".into(),
-                        });
-                    }
-                };
-                if batch.rows.len() != chunk.len() {
-                    return Err(NetError::Protocol {
-                        peer,
-                        detail: format!(
-                            "batch response carries {} rows for {} queries",
-                            batch.rows.len(),
-                            chunk.len()
-                        ),
-                    });
-                }
+                let (peer, batch) = batch_reply(outcome, chunk.len())?;
                 for (cells, row) in batch.rows.into_iter().zip(out.iter_mut()) {
                     merge_partial_row(&peer, &member.classes, n_classes, cells, row)?;
                 }
@@ -1996,24 +2087,43 @@ mod tests {
         *lag0.lock().unwrap() = very_slow;
         *lag1.lock().unwrap() = slow;
         let started = Instant::now();
-        assert_eq!(
-            backend.try_feature_rows_prepared(&queries).expect("rows"),
-            expected_rows(&rs, &queries)
-        );
+        let expected = expected_rows(&rs, &queries);
+        let rows = backend.try_feature_rows_prepared(&queries).expect("rows");
+        assert_eq!(rows, expected);
         let took = started.elapsed();
         *lag0.lock().unwrap() = Duration::ZERO;
         *lag1.lock().unwrap() = Duration::ZERO;
         assert!(took >= very_slow, "shard 0 has no other node");
 
         let recorded = |window: &LatencyWindow| window.percentile(1.0).expect("one sample");
-        assert!(recorded(&members[0].window) >= very_slow);
-        // Shard 1 hedged on time while shard 0 was still waiting: its
-        // replica won before the slow primary could answer.
-        assert!(members[1].nodes[0].window.median().is_none());
-        assert!(recorded(&members[1].nodes[1].window) < slow);
-        assert!(recorded(&members[1].window) < slow);
-        // Shard 2's latency is its own, not shard 0's wait.
-        assert!(recorded(&members[2].window) < slow);
+        let check_windows = || {
+            assert!(recorded(&members[0].stats.window) >= very_slow);
+            // Shard 1 hedged on time while shard 0 was still waiting: its
+            // replica won before the slow primary could answer.
+            assert!(members[1].stats.nodes[0].window.median().is_none());
+            assert!(recorded(&members[1].stats.nodes[1].window) < slow);
+            assert!(recorded(&members[1].stats.window) < slow);
+            // Shard 2's latency is its own, not shard 0's wait.
+            assert!(recorded(&members[2].stats.window) < slow);
+        };
+        check_windows();
+
+        // The slow primary's reply lands after its race was won. The
+        // finished race ignores it: no window moves, the rows the caller
+        // holds are the replica's, and the next query scores the same.
+        let primary = &members[1].nodes[0].mux;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while primary.lock().unwrap().in_flight() > 0 {
+            assert!(Instant::now() < deadline, "the late reply never landed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!primary.lock().unwrap().is_poisoned());
+        check_windows();
+        assert_eq!(rows, expected);
+        assert_eq!(
+            backend.try_feature_rows_prepared(&queries).expect("rows"),
+            expected
+        );
     }
 
     /// A manual clock: starts at a real instant, advances only on demand.

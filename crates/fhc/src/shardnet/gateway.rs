@@ -13,33 +13,38 @@
 //! once per burst instead of once per query.
 //!
 //! ```text
-//!  clients                     gateway                        workers
-//!  ────────                    ───────────────────────────    ─────────
-//!  conn A ──┐                  per-conn reader ─┐  ┌─ batcher ═ shard 0
-//!  conn B ──┼── TCP/UDS ──►    (submit to every ├──┤  ┌ distributor
-//!  conn C ──┘                  shard queue)     ─┘  └─ batcher ═ shard 1
-//!                              per-conn writer ◄───────┘ (rows, in order)
+//!  clients                  gateway                                 workers
+//!  ───────                  ──────────────────────────────────────  ───────
+//!  conn A ──┐               per-conn reader ─┬─► queue ─► batcher ═══ shard 0
+//!  conn B ──┼─ TCP/UDS ──►  (a job per shard)└─► queue ─► batcher ═══ shard 1
+//!  conn C ──┘               per-conn writer ◄──── rows ── mux readers
+//!                           (merges, answers in order)   (completions)
 //! ```
 //!
 //! The shard side is a [`FleetView`]: each shard is a fleet member, a
-//! primary endpoint plus any replicas. Each member is driven by one
-//! **batcher** thread (drains that shard's job queue, packs up to
-//! [`GatewayOptions::max_batch`] queries into one batch frame, and starts
-//! it on the member with `FleetView::start_request`, which writes the
-//! frame to the node's socket on the batcher's own thread) and one
-//! **distributor** thread (drives the started requests to their winning
-//! replies in submission order and hands each partial row back to the
-//! query that asked for it). Each node connection adds just its mux's
-//! reader thread, which routes replies to the distributor. Because
-//! starting never waits for a reply, a batch is on the wire while the
-//! previous one is still being scored — the shard sockets stay full.
+//! primary endpoint plus any replicas, driven by one **batcher** thread.
+//! It drains the shard's job queue, packs up to
+//! [`GatewayOptions::max_batch`] queries into one batch frame and starts a
+//! race with it on the member, writing the frame on its own thread. When
+//! the reply lands, the completion on the node's mux reader splits its
+//! rows straight into the reply slots of the queries that asked. Starting
+//! never waits for a reply, so the shard sockets stay full. The batcher
+//! also fires hedges and failovers: it waits on its queue no longer than
+//! the earliest hedge deadline, and a failed node wakes it through the
+//! queue. A replica-less member has no deadline; its batcher sleeps until
+//! the next job.
 //!
-//! Client connections are served pipelined the same way: a reader thread
-//! submits every incoming query to the shard queues the moment it is
-//! decoded, and the connection's writer answers in request order as the
-//! merged rows complete. Every worker must advertise batch scoring
-//! ([`wire::FEATURE_SCORE_BATCH`]); one that does not is refused at
-//! connect.
+//! Client connections are pipelined the same way: a reader thread submits
+//! every incoming query to the shard queues the moment it is decoded, and
+//! the connection's writer answers in request order as the merged rows
+//! complete — on a thread of its own, so a client that stops reading
+//! stalls only itself, never the mux readers that carry every client's
+//! rows. Every worker must advertise batch scoring
+//! ([`wire::FEATURE_SCORE_BATCH`]); one that does not is refused.
+//!
+//! Backpressure runs from a slow shard to the clients: its socket's send
+//! buffer fills, the batcher's write blocks, the 1024-deep shard queue
+//! fills, and the client readers block on it.
 //!
 //! Failure keeps the fleet client's contract, because it is the fleet
 //! client: the classes are dealt round-robin over the members, a slow node
@@ -49,16 +54,18 @@
 //! error, and then as a typed error frame — never a wrong or partial row.
 
 use crate::features::PreparedSampleFeatures;
-use crate::shardnet::fleet::{FleetMember, FleetTopology, FleetView, HedgedRequest};
+use crate::shardnet::fleet::{
+    batch_reply, FleetMember, FleetTopology, FleetView, HedgedRequest, RaceOutcome,
+};
 use crate::shardnet::remote::merge_partial_row;
-use crate::shardnet::wire::{self, ClientReply, Frame, Hello, ScoreBatchResponse, ScoreResponse};
+use crate::shardnet::wire::{self, Frame, Hello, ScoreBatchResponse, ScoreResponse};
 use crate::shardnet::{serve_listener, Listener, NetError};
 use crate::similarity::ReferenceSet;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -78,12 +85,6 @@ const CLIENT_PIPELINE_LIMIT: usize = 128;
 /// the client readers — backpressure all the way to the client sockets —
 /// instead of queueing unboundedly in front of a slow shard.
 const SHARD_QUEUE_DEPTH: usize = 1024;
-
-/// Bound on the in-flight record queue between one shard's batcher and its
-/// distributor. A distributor stuck waiting on a slow shard eventually
-/// blocks its batcher, which stops draining the shard queue — the same
-/// backpressure chain, one stage earlier.
-const INFLIGHT_DEPTH: usize = 256;
 
 /// Tunables for a [`Gateway`].
 #[derive(Debug, Clone)]
@@ -296,21 +297,22 @@ impl Admission {
     }
 }
 
-/// Why a shard could not answer a query. One fault fans out to every query
-/// that was in the failed batch, hence `Clone`.
-#[derive(Debug, Clone)]
-struct ShardFault {
-    peer: String,
-    detail: String,
-}
-
-/// One query's partial row from one shard, or the fault that lost it.
-type RowResult = Result<Vec<(u32, f64)>, ShardFault>;
+/// One query's partial row from one shard, or why the shard could not
+/// answer it.
+type RowResult = Result<Vec<(u32, f64)>, String>;
 
 /// One query enqueued to one shard's batcher.
 struct ShardJob {
     query: Arc<PreparedSampleFeatures>,
     reply: SyncSender<RowResult>,
+}
+
+/// What a shard's batcher receives: a query, a wake from one of its races,
+/// or the gateway's close.
+enum ShardInput {
+    Job(ShardJob),
+    Wake,
+    Close,
 }
 
 /// The gateway's handle on one shard: where to enqueue jobs, and the
@@ -319,28 +321,18 @@ struct ShardJob {
 struct ShardHandle {
     peer: String,
     classes: Vec<usize>,
-    queue: SyncSender<ShardJob>,
-}
-
-/// A batch started on a shard's member, paired with the frame (kept for
-/// hedges) and the jobs its rows answer. The distributor consumes these in
-/// submission order.
-struct InFlight {
-    request: HedgedRequest,
-    id: u64,
-    bytes: Vec<u8>,
-    jobs: Vec<ShardJob>,
+    queue: SyncSender<ShardInput>,
 }
 
 /// The batching front door itself: validated connections to the whole
-/// shard fleet, one batcher/distributor thread pair per shard.
+/// shard fleet, one batcher thread per shard.
 ///
 /// Built with [`Gateway::connect`] (handshake, fingerprint and
 /// batch-support validation, partition assignment) and served with
 /// [`serve_tcp`] / [`serve_unix`] — or driven in process through
-/// [`serve_client`]. Dropping the gateway closes the shard queues; the
-/// batcher and distributor threads drain what is in flight and exit on
-/// their own.
+/// [`serve_client`]. Dropping the gateway closes the shard queues; each
+/// batcher starts what was queued, waits until every batch it started is
+/// answered, and is joined.
 pub struct Gateway {
     reference: Arc<ReferenceSet>,
     /// Computed once: a full reference walk, served on every client
@@ -352,9 +344,8 @@ pub struct Gateway {
     /// with every connection's reader thread.
     admission: Arc<Admission>,
     shards: Vec<ShardHandle>,
-    /// One batcher thread per shard; each batcher joins its own
-    /// distributor on exit. Reaped in [`Drop`] after the shard queues
-    /// close.
+    /// One batcher thread per shard, reaped in [`Drop`] after the shard
+    /// queues close.
     batchers: Vec<JoinHandle<()>>,
 }
 
@@ -422,44 +413,45 @@ impl Gateway {
             n => reference.n_columns() / n,
         };
         let members = view.members();
-        let mut shards = Vec::with_capacity(members.len());
-        let mut batchers = Vec::with_capacity(members.len());
+        // On an early return the half-built gateway drops: its Drop closes
+        // the batchers already spawned and joins them.
+        let mut gateway = Self {
+            reference,
+            fingerprint,
+            tenant,
+            admission,
+            shards: Vec::with_capacity(members.len()),
+            batchers: Vec::with_capacity(members.len()),
+        };
         // Members are built in topology order.
         for (shard, member) in view.topology().shards.iter().zip(members) {
             let peer = shard.primary.to_string();
             let classes = member.classes().to_vec();
-            let (queue, jobs) = mpsc::sync_channel::<ShardJob>(SHARD_QUEUE_DEPTH);
+            let (queue, inputs) = mpsc::sync_channel::<ShardInput>(SHARD_QUEUE_DEPTH);
             // Clamp the batch per shard so its worst-case dense batch
             // response stays under the frame budget even on wide
             // geometries.
             let max_batch = options
                 .max_batch
                 .min(wire::max_batch_rows_for(classes.len() * n_kinds));
-            let (view, batcher_peer) = (Arc::clone(&view), peer.clone());
+            let (view, batcher_peer, wake) = (Arc::clone(&view), peer.clone(), queue.clone());
             let batcher = std::thread::Builder::new()
                 .name("gw-batcher".into())
-                .spawn(move || batcher_loop(view, member, batcher_peer, jobs, max_batch))
+                .spawn(move || {
+                    batcher_loop(&view, &member, &batcher_peer, &inputs, &wake, max_batch)
+                })
                 .map_err(|e| NetError::Io {
                     peer: peer.clone(),
                     source: e,
                 })?;
-            // On an early return the half-built Gateway drops: shard queues
-            // close, the already-spawned batchers exit and are joined.
-            batchers.push(batcher);
-            shards.push(ShardHandle {
+            gateway.batchers.push(batcher);
+            gateway.shards.push(ShardHandle {
                 peer,
                 classes,
                 queue,
             });
         }
-        Ok(Self {
-            reference,
-            fingerprint,
-            tenant,
-            admission,
-            shards,
-            batchers,
-        })
+        Ok(gateway)
     }
 
     /// The reference set the fleet serves.
@@ -505,21 +497,13 @@ impl Gateway {
         let n_classes = self.reference.n_classes();
         let mut row = vec![0.0f64; self.reference.n_columns()];
         for (shard, reply) in self.shards.iter().zip(replies) {
-            let cells = match reply.recv() {
-                Ok(Ok(cells)) => cells,
-                Ok(Err(fault)) => {
-                    return Err(NetError::WorkerLost {
-                        peer: fault.peer,
-                        detail: fault.detail,
-                    });
-                }
-                Err(_) => {
-                    return Err(NetError::WorkerLost {
-                        peer: shard.peer.clone(),
-                        detail: "shard pipeline closed".into(),
-                    });
-                }
-            };
+            let cells = reply
+                .recv()
+                .unwrap_or_else(|_| Err("shard pipeline closed".into()))
+                .map_err(|detail| NetError::WorkerLost {
+                    peer: shard.peer.clone(),
+                    detail,
+                })?;
             merge_partial_row(&shard.peer, &shard.classes, n_classes, cells, &mut row)?;
         }
         Ok(row
@@ -532,9 +516,10 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        // Close every shard queue first so the batchers (and through them,
-        // their distributors) run dry and exit, then reap the threads.
-        self.shards.clear();
+        // Close each shard queue behind the jobs already in it.
+        for shard in self.shards.drain(..) {
+            let _ = shard.queue.send(ShardInput::Close);
+        }
         for batcher in self.batchers.drain(..) {
             let _ = batcher.join();
         }
@@ -549,166 +534,108 @@ impl Drop for Gateway {
 /// batcher is deliberately ignored: the dropped reply sender surfaces the
 /// loss at collect time, attributed to the right peer.
 fn submit_to_shards(
-    queues: &[SyncSender<ShardJob>],
+    queues: &[SyncSender<ShardInput>],
     query: &Arc<PreparedSampleFeatures>,
 ) -> Vec<Receiver<RowResult>> {
     queues
         .iter()
         .map(|queue| {
-            // Oneshot: each job is answered exactly once (row or fault), so
-            // capacity 1 means the sender can never block.
+            // Oneshot: each job is answered at most once (row or fault), so
+            // capacity 1 means the sender — usually a mux completion —
+            // never blocks.
             let (reply, rx) = mpsc::sync_channel(1);
-            let _ = queue.send(ShardJob {
+            let _ = queue.send(ShardInput::Job(ShardJob {
                 query: Arc::clone(query),
                 reply,
-            });
+            }));
             rx
         })
         .collect()
 }
 
-/// Drain one shard's job queue, packing waiting queries into batch frames
-/// and starting them on the shard's member without awaiting replies.
-/// Exits when every [`ShardHandle`] clone of the queue sender is gone.
+/// Drive one shard: pack queued queries into batch frames, start each as a
+/// race on the shard's member without awaiting replies, and fire hedges
+/// and failovers as they fall due; completions route the rows
+/// ([`route_rows`]). On the close, exits once every race has finished.
 fn batcher_loop(
-    view: Arc<FleetView>,
-    member: Arc<FleetMember>,
-    peer: String,
-    jobs: Receiver<ShardJob>,
+    view: &FleetView,
+    member: &Arc<FleetMember>,
+    peer: &str,
+    inputs: &Receiver<ShardInput>,
+    wake: &SyncSender<ShardInput>,
     max_batch: usize,
 ) {
-    let (inflight_tx, inflight_rx) = mpsc::sync_channel::<InFlight>(INFLIGHT_DEPTH);
-    let spawned = std::thread::Builder::new()
-        .name("gw-distributor".into())
-        .spawn({
-            let (view, peer) = (Arc::clone(&view), peer.clone());
-            move || distributor_loop(&view, inflight_rx, &peer)
-        });
-    let distributor = match spawned {
-        Ok(handle) => handle,
-        Err(e) => {
-            // Without a distributor no reply can ever route; fault every
-            // job as it arrives until the shard queue closes.
-            let detail = format!("could not spawn the shard's distributor thread: {e}");
-            while let Ok(job) = jobs.recv() {
-                fault_jobs(vec![job], &peer, detail.clone());
-            }
-            return;
-        }
-    };
-
     let mut next_id = 0u64;
     // The batch target adapts to load between MIN_BATCH_TARGET and
     // max_batch; an idle gateway sends small frames fast, a loaded one
     // packs big frames.
     let mut target = MIN_BATCH_TARGET.min(max_batch);
-    while let Ok(first) = jobs.recv() {
-        // The coalescing moment: everything already queued — from any
-        // client connection — rides in this frame, up to the current
-        // adaptive target.
-        let mut pack = vec![first];
-        while pack.len() < target {
-            match jobs.try_recv() {
-                Ok(job) => pack.push(job),
-                Err(_) => break,
-            }
-        }
-        target = next_batch_target(target, pack.len(), max_batch);
-        // Failpoint: losing a pack at the coalescing moment must fault
-        // exactly the queries it carried, never wedge the batcher.
-        if let Err(e) = crate::shardnet::inject("gateway.coalesce", &peer) {
-            fault_jobs(pack, &peer, e.to_string());
-            continue;
-        }
-        let id = next_id;
-        next_id += 1;
-        let bytes = wire::score_batch_request_bytes(id, pack.iter().map(|j| j.query.as_ref()));
-        let request = view.start_request(&member, id, &bytes);
-        if inflight_tx
-            .send(InFlight {
-                request,
-                id,
-                bytes,
-                jobs: pack,
-            })
-            .is_err()
-        {
-            break;
-        }
-    }
-    drop(inflight_tx);
-    let _ = distributor.join();
-}
-
-/// Drive one shard's started requests to their winning replies in
-/// submission order and route each row back to the query that asked for
-/// it. A batch whose every node failed faults every query it carried —
-/// with the peer named — and a later batch re-dials the lost connections
-/// once their backoff gates open, so one lost worker connection never
-/// wedges the gateway into answering every future query with `WorkerLost`.
-fn distributor_loop(view: &FleetView, inflight: Receiver<InFlight>, peer: &str) {
-    for InFlight {
-        mut request,
-        id,
-        bytes,
-        jobs,
-    } in inflight
-    {
-        // Failpoint: a distributor that cannot route a reply faults the
-        // batch it was for; the abandoned request is simply dropped.
-        if let Err(e) = crate::shardnet::inject("gateway.distribute", peer) {
-            fault_jobs(jobs, peer, e.to_string());
-            continue;
-        }
-        let outcome = loop {
-            let wait = request.patience();
-            if let Some(outcome) = view.poll_request(&mut request, id, &bytes, wait) {
-                break outcome;
-            }
-        };
-        match outcome.map(|(_, reply)| reply) {
-            Ok(ClientReply::Batch(response)) if response.rows.len() == jobs.len() => {
-                for (job, row) in jobs.into_iter().zip(response.rows) {
-                    let _ = job.reply.send(Ok(row));
+    let mut open: Vec<HedgedRequest> = Vec::new();
+    let mut closing = false;
+    while !closing || !open.is_empty() {
+        match view.drive(inputs, &open) {
+            Ok(ShardInput::Job(first)) if !closing => {
+                // The coalescing moment: everything already queued — from
+                // any client connection — rides in this frame, up to the
+                // current adaptive target.
+                let mut pack = vec![first];
+                while pack.len() < target {
+                    match inputs.try_recv() {
+                        Ok(ShardInput::Job(job)) => pack.push(job),
+                        Ok(input) => closing |= matches!(input, ShardInput::Close),
+                        Err(_) => break,
+                    }
                 }
+                target = next_batch_target(target, pack.len(), max_batch);
+                // Failpoint: losing a pack at the coalescing moment must
+                // fault exactly the queries it carried, never wedge the
+                // batcher.
+                if let Err(e) = crate::shardnet::inject("gateway.coalesce", peer) {
+                    fault_jobs(pack, &e.to_string());
+                    continue;
+                }
+                let bytes =
+                    wire::score_batch_request_bytes(next_id, pack.iter().map(|j| j.query.as_ref()));
+                let (route_peer, wake) = (peer.to_string(), wake.clone());
+                let deliver = move |outcome| route_rows(pack, &route_peer, outcome);
+                // A wake lost to a full queue is harmless: a job wakes it.
+                let wake = move || drop(wake.try_send(ShardInput::Wake));
+                open.push(view.start_request(member, next_id, bytes, deliver, wake));
+                next_id += 1;
             }
-            Ok(ClientReply::Batch(response)) => {
-                let detail = format!(
-                    "batch reply carried {} rows for {} queries",
-                    response.rows.len(),
-                    jobs.len()
-                );
-                fault_jobs(jobs, peer, detail);
-            }
-            Ok(ClientReply::Score(_)) => {
-                fault_jobs(
-                    jobs,
-                    peer,
-                    "single-row reply answering a batch request".into(),
-                );
-            }
-            Ok(ClientReply::Overload(o)) => {
-                // A worker shedding load behind the gateway is a shard
-                // fault for the queries in flight, not something to
-                // propagate as the gateway's own overload.
-                let detail = format!("shard shed the batch: retry after {}ms", o.retry_after_ms);
-                fault_jobs(jobs, peer, detail);
-            }
-            Err(e) => {
-                let detail = e.to_string();
-                fault_jobs(jobs, peer, detail);
-            }
+            // (The batcher's own sender keeps the queue connected.)
+            Ok(ShardInput::Close) | Err(RecvTimeoutError::Disconnected) => closing = true,
+            // A wake, a due hedge, or a job after the close: its query sees
+            // the shard pipeline close.
+            _ => {}
         }
+        open.retain(|request| request.is_running(closing));
     }
 }
 
-fn fault_jobs(jobs: Vec<ShardJob>, peer: &str, detail: String) {
-    let fault = ShardFault {
-        peer: peer.to_string(),
-        detail,
-    };
+/// Route one batch's outcome to the queries it carried: each row to its
+/// query's one-slot reply channel, or one fault to them all. Usually runs
+/// in the winning node's mux completion.
+fn route_rows(jobs: Vec<ShardJob>, peer: &str, outcome: RaceOutcome) {
+    // Failpoint: a completion that cannot route its reply faults exactly
+    // the batch it was for.
+    let routed = crate::shardnet::inject("gateway.distribute", peer)
+        .and_then(|()| batch_reply(outcome, jobs.len()));
+    match routed {
+        Ok((_, batch)) => {
+            for (job, row) in jobs.into_iter().zip(batch.rows) {
+                let _ = job.reply.try_send(Ok(row));
+            }
+        }
+        // A worker shedding load behind the gateway is a shard fault for
+        // the queries in flight, not the gateway's own overload.
+        Err(e) => fault_jobs(jobs, &e.to_string()),
+    }
+}
+
+fn fault_jobs(jobs: Vec<ShardJob>, detail: &str) {
     for job in jobs {
-        let _ = job.reply.send(Err(fault.clone()));
+        let _ = job.reply.try_send(Err(detail.to_string()));
     }
 }
 
@@ -771,7 +698,7 @@ where
     W: Write,
 {
     Frame::Hello(gateway.hello()).write_to(&mut writer, peer)?;
-    let queues: Vec<SyncSender<ShardJob>> =
+    let queues: Vec<SyncSender<ShardInput>> =
         gateway.shards.iter().map(|s| s.queue.clone()).collect();
     // Bounded on purpose (see [`CLIENT_PIPELINE_LIMIT`]): a client that
     // stops reading responses eventually blocks its own reader instead of
@@ -855,7 +782,7 @@ where
 /// reader's clean-goodbye signal.
 fn client_reader_loop<R: Read>(
     mut reader: R,
-    queues: &[SyncSender<ShardJob>],
+    queues: &[SyncSender<ShardInput>],
     work: &SyncSender<ClientWork>,
     admission: &Admission,
     max_client_batch: usize,
@@ -1158,7 +1085,7 @@ mod tests {
         // half answers with an Error frame) without submitting anything.
         let query = PreparedSampleFeatures::prepare(&SampleFeatures::extract(b"overflow probe"));
         let frame_bytes = wire::score_batch_request_bytes(7, vec![&query; 3]);
-        let queues: Vec<SyncSender<ShardJob>> = Vec::new();
+        let queues: Vec<SyncSender<ShardInput>> = Vec::new();
         let (work_tx, work_rx) = mpsc::sync_channel::<ClientWork>(8);
         client_reader_loop(
             std::io::Cursor::new(frame_bytes),
@@ -1233,7 +1160,7 @@ mod tests {
             bucket: Some(TokenBucket::new(2, Instant::now())),
             inflight: None,
         };
-        let queues: Vec<SyncSender<ShardJob>> = Vec::new();
+        let queues: Vec<SyncSender<ShardInput>> = Vec::new();
         let (work_tx, work_rx) = mpsc::sync_channel::<ClientWork>(8);
         client_reader_loop(
             std::io::Cursor::new(frames),
@@ -1277,7 +1204,7 @@ mod tests {
             bucket: None,
             inflight: Some(Arc::clone(&gauge)),
         };
-        let queues: Vec<SyncSender<ShardJob>> = Vec::new();
+        let queues: Vec<SyncSender<ShardInput>> = Vec::new();
         let (work_tx, work_rx) = mpsc::sync_channel::<ClientWork>(8);
         client_reader_loop(
             std::io::Cursor::new(frames),

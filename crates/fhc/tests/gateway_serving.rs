@@ -369,3 +369,78 @@ fn a_gateway_over_a_replicated_shard_survives_its_primary_daemon_dying() {
     drop(guard);
     std::fs::remove_file(&artifact).ok();
 }
+
+/// The names of `pid`'s threads, sorted, from `/proc/PID/task/*/comm`.
+fn thread_names(pid: u32) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("list the gateway's threads")
+        .filter_map(|task| {
+            let comm = task.ok()?.path().join("comm");
+            Some(std::fs::read_to_string(comm).ok()?.trim().to_string())
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_gateway_runs_one_thread_per_shard_and_two_per_client() {
+    let corpus = CorpusBuilder::new(67).build(&Catalog::paper().scaled(0.02));
+    let config = FhcConfig::new().pipeline(PipelineConfig {
+        seed: 67,
+        forest: mlcore::forest::RandomForestParams {
+            n_estimators: 10,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let trained = FuzzyHashClassifier::with_config(config.clone())
+        .fit(&corpus)
+        .expect("fit succeeds");
+    let artifact =
+        std::env::temp_dir().join(format!("fhc-threads-test-{}.fhc", std::process::id()));
+    trained.save(&artifact).expect("save artifact");
+
+    let (shard0, endpoint0) = spawn_shardd(&artifact, 0, 2);
+    let (shard1, endpoint1) = spawn_shardd(&artifact, 1, 2);
+    let (gateway, front) = spawn_gateway(&artifact, &[endpoint0, endpoint1]);
+    let pid = gateway.id();
+    let guard = KillOnDrop(vec![shard0, shard1, gateway]);
+
+    // One client, connected and served.
+    let spec: BackendConfig = format!("gateway:{front}").parse().expect("gateway spec");
+    let served = TrainedClassifier::load_with(&artifact, &config.backend(spec))
+        .expect("artifact opens against the gateway");
+    let bytes = corpus.generate_bytes(&corpus.samples()[0]);
+    assert_eq!(
+        served.try_classify(&bytes).expect("fleet is healthy"),
+        trained.classify(&bytes)
+    );
+
+    // Per shard: its batcher and its connection's mux reader. Per client:
+    // the connection's reader and its writer (the accept loop's thread,
+    // named after the daemon like the main thread). Rows are routed by the
+    // mux readers' completions, with no thread in between.
+    let expected: Vec<String> = [
+        "fhc-gateway",
+        "fhc-gateway",
+        "gw-batcher",
+        "gw-batcher",
+        "gw-client-reade",
+        "mux-reader",
+        "mux-reader",
+    ]
+    .map(String::from)
+    .to_vec();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut names = thread_names(pid);
+    while names != expected && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        names = thread_names(pid);
+    }
+    assert_eq!(names, expected, "the gateway's threads, by name");
+
+    drop(served);
+    drop(guard);
+    std::fs::remove_file(&artifact).ok();
+}

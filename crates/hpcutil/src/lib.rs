@@ -19,8 +19,8 @@
 //!   the transport layer under the distributed shard-serving protocol.
 //! * [`mux`] — a connection multiplexer with one reader thread: many
 //!   caller threads write their own request frames and pipeline over one
-//!   stream, correlated by request id, with no mutex held across a round
-//!   trip.
+//!   stream, with no mutex held across a round trip; each reply runs the
+//!   completion its caller registered, on the reader thread.
 //! * [`failpoint`] — deterministic fault injection behind the `failpoints`
 //!   feature: named sites in the transport layers where chaos tests inject
 //!   I/O errors, delays, corruption, truncation, and dropped connections
@@ -40,7 +40,7 @@ pub mod timing;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use frame::{encode_frame, read_frame, write_assembled_frame, write_frame, FrameError};
-pub use mux::{Mux, MuxError, MuxErrorKind, MuxOptions, PendingReply};
+pub use mux::{Mux, MuxError, MuxErrorKind, MuxOptions};
 pub use par::{par_map, par_map_indexed, ParallelConfig};
 pub use rngseq::SeedSequence;
 pub use table::TextTable;

@@ -8,29 +8,31 @@
 //!   thread, as one `write_all` under a lock around the write half, so
 //!   frames never interleave;
 //! * one dedicated **reader** thread incrementally reassembles
-//!   [`frame`](crate::frame)s from the stream and routes each decoded reply
-//!   to the caller that asked for it, by the request id the caller-supplied
-//!   decode function extracts from the payload.
+//!   [`frame`](crate::frame)s from the stream and hands each decoded reply
+//!   to the completion its caller registered, by the request id the
+//!   caller-supplied decode function extracts from the payload.
 //!
 //! Callers interact through [`Mux::submit`]: hand over the complete wire
-//! bytes of a request, get a [`PendingReply`] back, and
-//! [`PendingReply::wait`] for the decoded response. Any number of threads
-//! may submit concurrently; their requests *pipeline* over the single
-//! stream, and no caller ever holds a lock across a round trip — only
-//! across its own write. The reader drains replies independently of the
-//! submitters, so a peer blocked writing its replies cannot deadlock a
-//! submitter.
+//! bytes of a request and a completion, which runs exactly once, on the
+//! reader thread, with the decoded response (or the connection's failure)
+//! and the instant the reader delivered it. Every reply behind a
+//! completion waits for it, so a completion must never block; it
+//! typically moves its reply into a bounded channel. Any number of
+//! threads may submit concurrently; their requests *pipeline* over the
+//! single stream, and no caller holds a lock across a round trip — only
+//! across its own write.
 //!
 //! Backpressure: a peer (or network) that stops reading blocks submitters
 //! once the kernel's send buffer is full. The stream's write timeout then
-//! fails the blocked write, which poisons the mux like any transport
-//! failure and unblocks everyone with a typed error.
+//! fails the blocked write, which poisons the mux.
 //!
 //! Failure is sticky: the first transport, framing, decode, or stall error
-//! **poisons** the multiplexer. Every in-flight and future request fails
-//! with (a clone of) the same [`MuxError`], and the closer hook supplied at
-//! spawn is invoked so a thread blocked in `read` or `write` on the same
-//! stream is woken — for sockets, a `shutdown`. A poisoned mux never hands
+//! **poisons** the multiplexer. Every later submit is refused with (a
+//! clone of) that [`MuxError`], and the closer hook supplied at spawn is
+//! invoked so a thread blocked in `read` or `write` on the stream is woken
+//! — for sockets, a `shutdown`. Whoever poisons (the reader, a submitter
+//! whose write failed, or the mux's `Drop`), the reader thread then runs
+//! every registered completion with that error. A poisoned mux never hands
 //! out data from a stream whose framing can no longer be trusted.
 //!
 //! Stall detection: the reader performs raw `read` calls into a reassembly
@@ -40,10 +42,9 @@
 //! Without a read timeout on the underlying stream (or with a deadline of
 //! `None`) the reader blocks indefinitely and stalls are never detected.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,8 +65,8 @@ pub enum MuxErrorKind {
     /// The stream bytes stopped forming valid frames (bad length prefix,
     /// checksum mismatch).
     Frame,
-    /// A structurally valid frame could not be decoded into a reply, or a
-    /// reply arrived for an id that was never submitted.
+    /// An undecodable frame, a reply for an id never submitted, or a
+    /// submit reusing an id still in flight.
     Decode,
     /// The peer reported an application-level error instead of a reply.
     Remote,
@@ -135,35 +136,19 @@ impl Default for MuxOptions {
     }
 }
 
-/// How many abandoned request ids the mux remembers. Hedged requests
-/// abandon their losing duplicate as a matter of course, so the set must
-/// not grow without bound on a long-lived connection; the oldest entries
-/// are reaped once the cap is hit. A late reply for a *reaped* id is still
-/// discarded quietly — the submit high-water mark (see
-/// [`MuxState::high_water`]) proves the id was once ours.
-const ABANDONED_LIMIT: usize = 1024;
-
-/// What a waiter receives: the reply (or the connection's failure) and
-/// when the reader thread delivered it.
-type Delivery<R> = (Result<R, MuxError>, Instant);
+/// A request's completion: its reply (or failure) and when it arrived.
+type Completion<R> = Box<dyn FnOnce(Result<R, MuxError>, Instant) + Send>;
 
 /// Book-keeping protected by one short-lived lock: requests awaiting a
-/// reply, requests whose caller gave up, and the sticky first error.
+/// reply and the sticky first error.
 struct MuxState<R> {
-    pending: HashMap<u64, (Instant, SyncSender<Delivery<R>>)>,
-    /// Ids whose [`PendingReply`] was dropped before the reply arrived; a
-    /// late reply for one of these is discarded instead of treated as a
-    /// protocol violation. Bounded by [`ABANDONED_LIMIT`].
-    abandoned: HashSet<u64>,
-    /// Insertion order of `abandoned`, for oldest-first reaping. May hold
-    /// stale entries for ids already drained by a late reply; reaping
-    /// skips those.
-    abandoned_order: VecDeque<u64>,
+    /// Every submitted id whose completion has not run — a hedge's loser
+    /// included — with when it was submitted, for stall detection.
+    pending: HashMap<u64, (Instant, Completion<R>)>,
     /// The highest request id ever submitted on this mux. A reply whose id
-    /// is neither pending nor abandoned but at or below this mark belongs
-    /// to a reaped abandoned request (or is a duplicate of an answered
-    /// one) and is discarded quietly; an id *above* it was invented by the
-    /// peer and poisons the connection.
+    /// is not pending but at or below this mark is a stale duplicate of
+    /// our own traffic and is discarded quietly; an id *above* it was
+    /// invented by the peer and poisons the connection.
     high_water: Option<u64>,
     poisoned: Option<MuxError>,
 }
@@ -177,83 +162,61 @@ struct Shared<R> {
 
 impl<R> Shared<R> {
     fn lock(&self) -> std::sync::MutexGuard<'_, MuxState<R>> {
-        // A panic can only occur in caller code outside the lock; the
-        // guarded state is always internally consistent.
+        // Completions run outside the lock, which guards consistent state.
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Record the first error, fail every in-flight request with it, and
-    /// fire the closer hook (once) to unblock the reader and any blocked
-    /// submitter.
-    fn poison(&self, err: MuxError) {
-        let (err, drained) = {
-            let mut st = self.lock();
-            let err = st.poisoned.get_or_insert(err).clone();
-            let drained: Vec<_> = st.pending.drain().map(|(_, (_, tx))| tx).collect();
-            st.abandoned.clear();
-            st.abandoned_order.clear();
-            (err, drained)
-        };
-        let now = Instant::now();
-        for tx in drained {
-            let _ = tx.send((Err(err.clone()), now));
-        }
+    /// Record the first error and fire the closer hook, once, to unblock
+    /// the reader and any blocked submitter; returns the first error.
+    fn poison(&self, err: MuxError) -> MuxError {
+        let first = self.lock().poisoned.get_or_insert(err).clone();
         if !self.closed.swap(true, Ordering::SeqCst) {
             (self.closer)();
         }
+        first
     }
 
-    /// Route one decoded reply to its waiter. A reply for an abandoned id
-    /// — or for an id at or below the submit high-water mark whose
-    /// abandoned entry was already reaped or drained — is discarded
-    /// quietly. Returns `false` (after poisoning) only when the id was
-    /// *never* submitted — a stream that invents correlation ids cannot be
-    /// trusted.
-    fn deliver(&self, id: u64, reply: R) -> bool {
-        enum Route<R> {
-            Waiter(SyncSender<Delivery<R>>),
-            Discard,
-            Unknown,
-        }
-        let route = {
+    /// Run one decoded reply's completion; a stale duplicate (an id at or
+    /// below the high-water mark, no longer pending) is discarded. Fails,
+    /// so the reader stops, once the mux is poisoned or when the id was
+    /// *never* submitted: a stream that invents ids cannot be trusted.
+    fn deliver(&self, id: u64, reply: R) -> Result<(), MuxError> {
+        let complete = {
             let mut st = self.lock();
+            if let Some(err) = &st.poisoned {
+                return Err(err.clone());
+            }
             match st.pending.remove(&id) {
-                Some((_, tx)) => Route::Waiter(tx),
-                None if st.abandoned.remove(&id) => Route::Discard,
-                // The id was once submitted here but is no longer tracked:
-                // its abandoned entry was reaped at ABANDONED_LIMIT, or
-                // the peer answered it twice. Either way this is a stale
-                // duplicate of our own traffic, not an invented id.
-                None if st.high_water.is_some_and(|hw| id <= hw) => Route::Discard,
-                None => Route::Unknown,
+                Some((_, complete)) => complete,
+                None if st.high_water.is_some_and(|hw| id <= hw) => return Ok(()),
+                None => {
+                    return Err(MuxError::new(
+                        MuxErrorKind::Decode,
+                        format!("reply for unknown request id {id}"),
+                    ))
+                }
             }
         };
-        match route {
-            Route::Waiter(tx) => {
-                // A failed send means the waiter gave up between our map
-                // lookup and the send; the reply is simply discarded.
-                let _ = tx.send((Ok(reply), Instant::now()));
-                true
-            }
-            Route::Discard => true,
-            Route::Unknown => {
-                self.poison(MuxError::new(
-                    MuxErrorKind::Decode,
-                    format!("reply for unknown request id {id}"),
-                ));
-                false
-            }
-        }
+        complete(Ok(reply), Instant::now());
+        Ok(())
     }
+}
 
-    fn has_stalled(&self, deadline: Option<Duration>) -> bool {
-        let Some(deadline) = deadline else {
-            return false;
-        };
-        self.lock()
-            .pending
-            .values()
-            .any(|(since, _)| since.elapsed() >= deadline)
+/// Poisons the mux and runs every registered completion with the poison
+/// when the reader thread ends, however it ends (a panic included).
+struct DrainOnExit<'a, R>(&'a Shared<R>);
+
+impl<R> Drop for DrainOnExit<'_, R> {
+    fn drop(&mut self) {
+        // Submits fail from here on, so nothing registers after the take.
+        let err = self
+            .0
+            .poison(MuxError::new(MuxErrorKind::Closed, "mux reader exited"));
+        let drained = std::mem::take(&mut self.0.lock().pending);
+        let now = Instant::now();
+        for (_, (_, complete)) in drained {
+            complete(Err(err.clone()), now);
+        }
     }
 }
 
@@ -309,8 +272,6 @@ impl<R: Send + 'static> Mux<R> {
         let shared = Arc::new(Shared {
             state: Mutex::new(MuxState {
                 pending: HashMap::new(),
-                abandoned: HashSet::new(),
-                abandoned_order: VecDeque::new(),
                 high_water: None,
                 poisoned: None,
             }),
@@ -321,7 +282,10 @@ impl<R: Send + 'static> Mux<R> {
         let reader_shared = Arc::clone(&shared);
         let reader = std::thread::Builder::new()
             .name("mux-reader".into())
-            .spawn(move || reader_loop(reader, &reader_shared, &decode, options))
+            .spawn(move || {
+                let _drain_on_exit = DrainOnExit(&reader_shared);
+                reader_shared.poison(reader_loop(reader, &reader_shared, &decode, options));
+            })
             .map_err(|e| {
                 MuxError::new(MuxErrorKind::Io, format!("spawning the mux reader: {e}"))
             })?;
@@ -332,47 +296,34 @@ impl<R: Send + 'static> Mux<R> {
         })
     }
 
-    /// Register `id` for reply correlation and write one pre-encoded
-    /// request frame on the calling thread. Returns once the frame is
-    /// handed to the stream; the reply arrives on the reader thread while
-    /// the caller does other work (or [`PendingReply::wait`]s). A failed
-    /// write poisons the mux with [`MuxErrorKind::Io`], which this and
-    /// every other in-flight request then receive.
+    /// Register `id` with its completion and write one pre-encoded request
+    /// frame on the calling thread; the completion runs later, exactly
+    /// once, on the reader thread. A failed write poisons the mux with
+    /// [`MuxErrorKind::Io`], which every registered completion receives.
     ///
-    /// `id` must be unique among this mux's in-flight *and* abandoned
-    /// requests — the natural source is a per-connection or shared atomic
-    /// counter. A submit that reuses such an id is rejected with a typed
-    /// [`MuxErrorKind::Decode`] error (through the returned handle, without
-    /// poisoning the connection): registering it anyway could cross-wire
-    /// the old request's late reply into the new caller.
-    pub fn submit(&self, id: u64, frame: &[u8]) -> PendingReply<R> {
-        // Oneshot: exactly one of deliver/poison ever sends, so capacity 1
-        // means the sender can never block.
-        let (tx, rx) = sync_channel(1);
-        let pending = PendingReply {
-            rx,
-            id,
-            shared: Arc::clone(&self.shared),
-            arrived: None,
-        };
+    /// Registers nothing, and returns the error without running
+    /// `complete`, when the mux is poisoned or `id` is still in flight
+    /// ([`MuxErrorKind::Decode`], without poisoning: a second registration
+    /// could cross-wire the old request's late reply into the new caller).
+    pub fn submit(
+        &self,
+        id: u64,
+        frame: &[u8],
+        complete: impl FnOnce(Result<R, MuxError>, Instant) + Send + 'static,
+    ) -> Result<(), MuxError> {
         {
             let mut st = self.shared.lock();
             if let Some(err) = &st.poisoned {
-                let _ = tx.send((Err(err.clone()), Instant::now()));
-                return pending;
+                return Err(err.clone());
             }
-            if st.pending.contains_key(&id) || st.abandoned.contains(&id) {
-                let _ = tx.send((
-                    Err(MuxError::new(
-                        MuxErrorKind::Decode,
-                        format!("request id {id} is already in flight or awaiting reply drain"),
-                    )),
-                    Instant::now(),
+            if st.pending.contains_key(&id) {
+                return Err(MuxError::new(
+                    MuxErrorKind::Decode,
+                    format!("request id {id} is already in flight"),
                 ));
-                return pending;
             }
             st.high_water = Some(st.high_water.map_or(id, |hw| hw.max(id)));
-            st.pending.insert(id, (Instant::now(), tx));
+            st.pending.insert(id, (Instant::now(), Box::new(complete)));
         }
         // Failpoint: corrupt a copy of this frame (caught downstream by a
         // checksum or a reply deadline) or fail it as the transport would.
@@ -393,7 +344,7 @@ impl<R: Send + 'static> Mux<R> {
                 format!("write failed: {e}"),
             ));
         }
-        pending
+        Ok(())
     }
 
     /// Put one frame on the wire. The write lock is released on return,
@@ -416,7 +367,7 @@ impl<R> Mux<R> {
         self.shared.lock().poisoned.is_some()
     }
 
-    /// Number of requests currently awaiting a reply.
+    /// Number of requests whose completion has not run yet.
     pub fn in_flight(&self) -> usize {
         self.shared.lock().pending.len()
     }
@@ -428,112 +379,6 @@ impl<R> Drop for Mux<R> {
             .poison(MuxError::new(MuxErrorKind::Closed, "multiplexer dropped"));
         if let Some(handle) = self.reader.take() {
             let _ = handle.join();
-        }
-    }
-}
-
-/// A handle to one in-flight request; [`PendingReply::wait`] blocks until
-/// the reply (or the connection's failure) arrives. Dropping it without
-/// waiting abandons the request: a late reply is discarded quietly.
-pub struct PendingReply<R> {
-    rx: Receiver<Delivery<R>>,
-    id: u64,
-    shared: Arc<Shared<R>>,
-    /// When the reply was delivered, once it has been received.
-    arrived: Option<Instant>,
-}
-
-impl<R> std::fmt::Debug for PendingReply<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingReply")
-            .field("id", &self.id)
-            .finish()
-    }
-}
-
-impl<R> PendingReply<R> {
-    /// Block until the reply arrives, the connection fails, or the mux is
-    /// dropped.
-    pub fn wait(mut self) -> Result<R, MuxError> {
-        match self.rx.recv() {
-            Ok((result, at)) => {
-                self.arrived = Some(at);
-                result
-            }
-            // Unreachable in practice: the sender is either in the pending
-            // map (drained with an error on poison) or used to deliver.
-            Err(_) => {
-                self.arrived = Some(Instant::now());
-                Err(MuxError::new(
-                    MuxErrorKind::Closed,
-                    "reply channel closed without a reply",
-                ))
-            }
-        }
-    }
-
-    /// Wait up to `timeout` for the reply without consuming the handle —
-    /// the primitive a *hedged* request is built from: poll the primary
-    /// for its hedge deadline, fire the replica on `None`, then alternate
-    /// polls until one connection answers and drop the loser (its late
-    /// reply is drained quietly).
-    ///
-    /// Returns `Some` the first time the reply (or the connection's
-    /// failure) arrives; the handle is spent after that — keep the result,
-    /// further polls would time out forever. A zero `timeout` only checks,
-    /// without the spin-then-yield a channel runs before it blocks.
-    pub fn poll_timeout(&mut self, timeout: Duration) -> Option<Result<R, MuxError>> {
-        let received = if timeout.is_zero() {
-            self.rx.try_recv().map_err(|e| match e {
-                TryRecvError::Empty => RecvTimeoutError::Timeout,
-                TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        } else {
-            self.rx.recv_timeout(timeout)
-        };
-        match received {
-            Ok((result, at)) => {
-                self.arrived = Some(at);
-                Some(result)
-            }
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                self.arrived = Some(Instant::now());
-                Some(Err(MuxError::new(
-                    MuxErrorKind::Closed,
-                    "reply channel closed without a reply",
-                )))
-            }
-        }
-    }
-
-    /// When the reader thread delivered the reply (or the failure) a poll
-    /// returned; `None` until then. A caller polling several replies in
-    /// turn measures latency from this, not from when its poll returned.
-    pub fn arrived_at(&self) -> Option<Instant> {
-        self.arrived
-    }
-}
-
-impl<R> Drop for PendingReply<R> {
-    fn drop(&mut self) {
-        if self.arrived.is_some() {
-            return;
-        }
-        let mut st = self.shared.lock();
-        if st.pending.remove(&self.id).is_some() {
-            st.abandoned.insert(self.id);
-            st.abandoned_order.push_back(self.id);
-            // Reap oldest-first past the cap; entries already drained by a
-            // late reply are skipped (their set entry is gone).
-            while st.abandoned.len() > ABANDONED_LIMIT {
-                match st.abandoned_order.pop_front() {
-                    Some(old) => {
-                        st.abandoned.remove(&old);
-                    }
-                    None => break,
-                }
-            }
         }
     }
 }
@@ -554,12 +399,14 @@ fn frame_extent(buf: &[u8], max_payload: usize) -> Result<Option<usize>, MuxErro
     Ok((buf.len() >= HEADER_LEN + len + CHECKSUM_LEN).then_some(HEADER_LEN + len + CHECKSUM_LEN))
 }
 
+/// Read, decode and deliver replies until the connection fails or another
+/// thread poisons the mux; returns why.
 fn reader_loop<R>(
     mut reader: Box<dyn Read + Send>,
     shared: &Shared<R>,
     decode: &(impl Fn(u8, Vec<u8>) -> Result<(u64, R), MuxError> + Send),
     options: MuxOptions,
-) {
+) -> MuxError {
     // Raw reads into a reassembly buffer instead of blocking `read_exact`
     // calls: a read timeout then never tears a frame mid-parse, it just
     // wakes the loop for the stall check below.
@@ -567,15 +414,10 @@ fn reader_loop<R>(
     let mut chunk = vec![0u8; READ_CHUNK];
     loop {
         // Drain every complete frame currently buffered.
-        loop {
-            let total = match frame_extent(&buf, options.max_payload) {
-                Ok(Some(total)) => total,
-                Ok(None) => break,
-                Err(e) => {
-                    shared.poison(e);
-                    return;
-                }
-            };
+        while let Some(total) = match frame_extent(&buf, options.max_payload) {
+            Ok(total) => total,
+            Err(e) => return e,
+        } {
             // Re-read the complete frame through the checksummed codec so
             // corruption is caught exactly as on the blocking path.
             let parsed = crate::frame::read_frame(
@@ -583,56 +425,41 @@ fn reader_loop<R>(
                 options.max_payload,
             );
             buf.drain(..total);
-            let (tag, payload) = match parsed {
-                Ok(frame) => frame,
-                Err(e) => {
-                    shared.poison(MuxError::new(MuxErrorKind::Frame, e.to_string()));
-                    return;
+            let delivered = match parsed {
+                Ok((tag, payload)) => {
+                    decode(tag, payload).and_then(|(id, reply)| shared.deliver(id, reply))
                 }
+                Err(e) => Err(MuxError::new(MuxErrorKind::Frame, e.to_string())),
             };
-            match decode(tag, payload) {
-                Ok((id, reply)) => {
-                    if !shared.deliver(id, reply) {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    shared.poison(e);
-                    return;
-                }
+            if let Err(e) = delivered {
+                return e;
             }
         }
         // Failpoint: fail the reader thread before the next read, exactly
         // as a dropped or reset connection would surface here.
         if crate::failpoint::hit("mux.reader").is_some() {
-            shared.poison(MuxError::new(
+            return MuxError::new(
                 MuxErrorKind::Io,
                 "failpoint mux.reader: injected read failure",
-            ));
-            return;
+            );
         }
         match reader.read(&mut chunk) {
-            Ok(0) => {
-                shared.poison(MuxError::new(MuxErrorKind::Io, "connection closed by peer"));
-                return;
-            }
+            Ok(0) => return MuxError::new(MuxErrorKind::Io, "connection closed by peer"),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                let st = shared.lock();
+                if let Some(err) = &st.poisoned {
+                    return err.clone();
+                }
                 if let Some(deadline) = options.reply_deadline {
-                    if shared.has_stalled(Some(deadline)) {
-                        shared.poison(MuxError::new(
-                            MuxErrorKind::Stalled,
-                            format!("no reply within {deadline:?}"),
-                        ));
-                        return;
+                    if st.pending.values().any(|(at, _)| at.elapsed() >= deadline) {
+                        let detail = format!("no reply within {deadline:?}");
+                        return MuxError::new(MuxErrorKind::Stalled, detail);
                     }
                 }
             }
-            Err(e) => {
-                shared.poison(MuxError::new(MuxErrorKind::Io, e.to_string()));
-                return;
-            }
+            Err(e) => return MuxError::new(MuxErrorKind::Io, e.to_string()),
         }
     }
 }
@@ -642,6 +469,9 @@ mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame};
     use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::sync::mpsc::{sync_channel, Receiver};
+
+    type Reply = Result<(u8, Vec<u8>), MuxError>;
 
     /// Spawn a one-connection frame server; `serve` gets the accepted
     /// stream. Returns the address to dial.
@@ -692,14 +522,77 @@ mod tests {
         frame
     }
 
+    /// Submit a request whose completion forwards its outcome (and the
+    /// delivery instant) to the returned receiver.
+    fn submit<R: Send + 'static>(
+        mux: &Mux<R>,
+        id: u64,
+        frame: &[u8],
+    ) -> Receiver<(Result<R, MuxError>, Instant)> {
+        let (tx, rx) = sync_channel(1);
+        mux.submit(id, frame, move |reply, at| {
+            let _ = tx.send((reply, at));
+        })
+        .expect("the request registers");
+        rx
+    }
+
+    fn wait(rx: Receiver<(Reply, Instant)>) -> Reply {
+        rx.recv().expect("the completion ran").0
+    }
+
+    /// Echo every frame back until the client hangs up.
+    fn echo(mut stream: TcpStream) {
+        while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
+            write_frame(&mut stream, tag, &payload).expect("echo");
+        }
+    }
+
+    /// Blocks every read until the closer fires, then reports EOF.
+    struct GatedReader(Arc<(Mutex<bool>, std::sync::Condvar)>);
+    impl Read for GatedReader {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            let (closed, cv) = &*self.0;
+            let guard = closed.lock().unwrap();
+            drop(cv.wait_while(guard, |closed| !*closed).unwrap());
+            Ok(0)
+        }
+    }
+
+    /// A write half whose every write fails.
+    struct BrokenPipe;
+    impl Write for BrokenPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::from(ErrorKind::BrokenPipe))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A mux over a write half that always fails and a read half that
+    /// blocks until the closer fires; `closes` counts the closer calls.
+    fn broken_mux(closes: &Arc<std::sync::atomic::AtomicUsize>) -> Mux<()> {
+        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let (closer_gate, closer_count) = (Arc::clone(&gate), Arc::clone(closes));
+        Mux::spawn(
+            "broken",
+            Box::new(GatedReader(gate)),
+            Box::new(BrokenPipe),
+            Box::new(move || {
+                closer_count.fetch_add(1, Ordering::SeqCst);
+                *closer_gate.0.lock().unwrap() = true;
+                closer_gate.1.notify_all();
+            }),
+            MuxOptions::default(),
+            |_, _| Err(MuxError::new(MuxErrorKind::Decode, "no replies expected")),
+        )
+        .expect("spawn mux")
+    }
+
     #[test]
     fn concurrent_submits_correlate_over_one_stream() {
-        let (addr, server) = frame_server(|mut stream| {
-            // Echo every frame back until the client hangs up.
-            while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
-                write_frame(&mut stream, tag, &payload).expect("echo");
-            }
-        });
+        let (addr, server) = frame_server(echo);
         let mux = Arc::new(connect_mux(&addr, MuxOptions::default()));
         let mut threads = Vec::new();
         for t in 0..8u64 {
@@ -708,8 +601,8 @@ mod tests {
                 for i in 0..50u64 {
                     let id = t * 1000 + i;
                     let body = format!("thread {t} request {i}").into_bytes();
-                    let pending = mux.submit(id, &request_bytes(7, id, &body));
-                    let (tag, payload) = pending.wait().expect("echoed reply");
+                    let pending = submit(&mux, id, &request_bytes(7, id, &body));
+                    let (tag, payload) = wait(pending).expect("echoed reply");
                     assert_eq!(tag, 7);
                     assert_eq!(&payload[8..], &body[..]);
                     assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), id);
@@ -738,10 +631,10 @@ mod tests {
             write_frame(&mut stream, first.0, &first.1).expect("reply");
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        let p1 = mux.submit(1, &request_bytes(3, 1, b"first"));
-        let p2 = mux.submit(2, &request_bytes(3, 2, b"second"));
-        let (_, payload2) = p2.wait().expect("reply for id 2");
-        let (_, payload1) = p1.wait().expect("reply for id 1");
+        let p1 = submit(&mux, 1, &request_bytes(3, 1, b"first"));
+        let p2 = submit(&mux, 2, &request_bytes(3, 2, b"second"));
+        let (_, payload2) = wait(p2).expect("reply for id 2");
+        let (_, payload1) = wait(p1).expect("reply for id 1");
         assert_eq!(&payload1[8..], b"first");
         assert_eq!(&payload2[8..], b"second");
         drop(mux);
@@ -755,16 +648,15 @@ mod tests {
             // Close without replying.
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        let err = mux
-            .submit(1, &request_bytes(3, 1, b"doomed"))
-            .wait()
-            .expect_err("peer hung up");
+        let err = wait(submit(&mux, 1, &request_bytes(3, 1, b"doomed"))).expect_err("peer hung up");
         assert_eq!(err.kind, MuxErrorKind::Io);
         assert!(mux.is_poisoned());
-        // Subsequent submits fail immediately with the original error.
+        // Subsequent submits are refused with the original error, and
+        // their completion never runs.
         let err = mux
-            .submit(2, &request_bytes(3, 2, b"late"))
-            .wait()
+            .submit(2, &request_bytes(3, 2, b"late"), |_, _| {
+                panic!("a refused submit registers nothing")
+            })
             .expect_err("mux is poisoned");
         assert_eq!(err.kind, MuxErrorKind::Io);
         server.join().expect("server thread");
@@ -782,33 +674,10 @@ mod tests {
             let _ = read_frame(&mut stream, 1 << 20);
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        let err = mux
-            .submit(5, &request_bytes(3, 5, b"x"))
-            .wait()
-            .expect_err("unknown id must poison");
+        let err =
+            wait(submit(&mux, 5, &request_bytes(3, 5, b"x"))).expect_err("unknown id must poison");
         assert_eq!(err.kind, MuxErrorKind::Decode);
         assert!(err.detail.contains("unknown request id"));
-        drop(mux);
-        server.join().expect("server thread");
-    }
-
-    #[test]
-    fn an_abandoned_reply_is_discarded_quietly() {
-        let (addr, server) = frame_server(|mut stream| {
-            let (tag, payload) = read_frame(&mut stream, 1 << 20).expect("request");
-            write_frame(&mut stream, tag, &payload).expect("late echo");
-            while read_frame(&mut stream, 1 << 20).is_ok() {
-                // Swallow follow-ups without replying; the test only needs
-                // the connection to stay up.
-            }
-        });
-        let mux = connect_mux(&addr, MuxOptions::default());
-        // Submit and immediately drop the handle: the echo arrives for an
-        // abandoned id and must NOT poison the connection.
-        drop(mux.submit(1, &request_bytes(3, 1, b"abandoned")));
-        std::thread::sleep(Duration::from_millis(200));
-        assert!(!mux.is_poisoned(), "abandoned reply must not poison");
-        assert_eq!(mux.in_flight(), 0);
         drop(mux);
         server.join().expect("server thread");
     }
@@ -827,9 +696,7 @@ mod tests {
         };
         let mux = connect_mux(&addr, options);
         let start = Instant::now();
-        let err = mux
-            .submit(1, &request_bytes(3, 1, b"never answered"))
-            .wait()
+        let err = wait(submit(&mux, 1, &request_bytes(3, 1, b"never answered")))
             .expect_err("stall must surface");
         assert_eq!(err.kind, MuxErrorKind::Stalled);
         assert!(
@@ -861,10 +728,10 @@ mod tests {
             ..MuxOptions::default()
         };
         let mux = connect_mux(&addr, options);
-        let first = mux.submit(1, &request_bytes(3, 1, &[7u8; 40]));
-        let second = mux.submit(2, &request_bytes(3, 2, b"also in flight"));
+        let first = submit(&mux, 1, &request_bytes(3, 1, &[7u8; 40]));
+        let second = submit(&mux, 2, &request_bytes(3, 2, b"also in flight"));
         for pending in [first, second] {
-            let err = pending.wait().expect_err("the torn frame must surface");
+            let err = wait(pending).expect_err("the torn frame must surface");
             assert_eq!(err.kind, MuxErrorKind::Stalled);
         }
         drop(mux);
@@ -873,51 +740,17 @@ mod tests {
 
     #[test]
     fn a_failed_write_poisons_the_submit_and_fires_the_closer_once() {
-        /// Blocks every read until the closer fires, then reports EOF.
-        struct GatedReader(Arc<(Mutex<bool>, std::sync::Condvar)>);
-        impl Read for GatedReader {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                let (closed, cv) = &*self.0;
-                let guard = closed.lock().unwrap();
-                drop(cv.wait_while(guard, |closed| !*closed).unwrap());
-                Ok(0)
-            }
-        }
-        struct BrokenPipe;
-        impl Write for BrokenPipe {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::from(ErrorKind::BrokenPipe))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
         let closes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let (closer_gate, closer_count) = (Arc::clone(&gate), Arc::clone(&closes));
-        let mux: Mux<()> = Mux::spawn(
-            "broken",
-            Box::new(GatedReader(Arc::clone(&gate))),
-            Box::new(BrokenPipe),
-            Box::new(move || {
-                closer_count.fetch_add(1, Ordering::SeqCst);
-                *closer_gate.0.lock().unwrap() = true;
-                closer_gate.1.notify_all();
-            }),
-            MuxOptions::default(),
-            |_, _| Err(MuxError::new(MuxErrorKind::Decode, "no replies expected")),
-        )
-        .expect("spawn mux");
-        let err = mux
-            .submit(1, &request_bytes(3, 1, b"x"))
-            .wait()
-            .expect_err("the write fails");
+        let mux = broken_mux(&closes);
+        let (err, _) = submit(&mux, 1, &request_bytes(3, 1, b"x"))
+            .recv()
+            .expect("the completion ran");
+        let err = err.expect_err("the write fails");
         assert_eq!(err.kind, MuxErrorKind::Io);
         assert!(mux.is_poisoned());
         assert_eq!(closes.load(Ordering::SeqCst), 1);
         let later = mux
-            .submit(2, &request_bytes(3, 2, b"y"))
-            .wait()
+            .submit(2, &request_bytes(3, 2, b"y"), |_, _| {})
             .expect_err("sticky");
         assert_eq!((later.kind, later.detail), (err.kind, err.detail));
         drop(mux);
@@ -933,47 +766,8 @@ mod tests {
             let _ = read_frame(&mut stream, 1 << 20);
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        let err = mux
-            .submit(1, &request_bytes(3, 1, b"x"))
-            .wait()
-            .expect_err("decode rejection");
+        let err = wait(submit(&mux, 1, &request_bytes(3, 1, b"x"))).expect_err("decode rejection");
         assert_eq!(err.kind, MuxErrorKind::Decode);
-        drop(mux);
-        server.join().expect("server thread");
-    }
-
-    #[test]
-    fn a_late_reply_for_a_reaped_abandoned_id_is_discarded_quietly() {
-        // More abandons than the cap, so the first id is reaped from the
-        // abandoned set before its late reply arrives.
-        const FLOOD: usize = ABANDONED_LIMIT + 8;
-        let (addr, server) = frame_server(move |mut stream| {
-            // Stash the first request, swallow the abandon flood, then
-            // answer the stashed request long after its caller gave up —
-            // and was reaped. Echo everything after that.
-            let first = read_frame(&mut stream, 1 << 20).expect("first request");
-            for _ in 0..FLOOD {
-                let _ = read_frame(&mut stream, 1 << 20).expect("flood request");
-            }
-            write_frame(&mut stream, first.0, &first.1).expect("late echo");
-            while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
-                write_frame(&mut stream, tag, &payload).expect("echo");
-            }
-        });
-        let mux = connect_mux(&addr, MuxOptions::default());
-        drop(mux.submit(1, &request_bytes(3, 1, b"will be reaped")));
-        for i in 0..FLOOD as u64 {
-            drop(mux.submit(1000 + i, &request_bytes(3, 1000 + i, b"flood")));
-        }
-        // A fresh request still round-trips — the late reply for the
-        // reaped id 1 was discarded via the high-water mark instead of
-        // poisoning the connection.
-        let (_, payload) = mux
-            .submit(50_000, &request_bytes(3, 50_000, b"fresh"))
-            .wait()
-            .expect("fresh request after the reaped late reply");
-        assert_eq!(&payload[8..], b"fresh");
-        assert!(!mux.is_poisoned(), "reaped late reply must not poison");
         drop(mux);
         server.join().expect("server thread");
     }
@@ -981,70 +775,69 @@ mod tests {
     #[test]
     fn a_reused_id_is_rejected_while_abandoned_and_safe_after_the_drain() {
         let (addr, server) = frame_server(|mut stream| {
-            // Swallow the first request (tag 4); echo everything else on
-            // command (tag 3).
+            // Hold tag-4 requests; answer each tag-3 request after echoing
+            // everything held before it.
+            let mut held = Vec::new();
             while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
+                held.push((tag, payload));
                 if tag == 3 {
-                    write_frame(&mut stream, tag, &payload).expect("echo");
+                    for (tag, payload) in held.drain(..) {
+                        write_frame(&mut stream, tag, &payload).expect("echo");
+                    }
                 }
             }
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        // Abandon id 7 with its reply still outstanding (the server
-        // swallows tag 4, so nothing ever drains it).
-        drop(mux.submit(7, &request_bytes(4, 7, b"abandoned")));
+        // A hedge's loser: its caller no longer cares, but id 7 stays
+        // registered until its reply arrives.
+        let loser = submit(&mux, 7, &request_bytes(4, 7, b"loser"));
         // Reusing the id now would let the old request's late reply
-        // cross-wire into the new caller: typed rejection, no poison.
+        // cross-wire into the new caller: typed refusal, no poison.
         let err = mux
-            .submit(7, &request_bytes(3, 7, b"reused too early"))
-            .wait()
-            .expect_err("reuse while abandoned must be rejected");
+            .submit(7, &request_bytes(3, 7, b"reused too early"), |_, _| {
+                panic!("a refused submit registers nothing")
+            })
+            .expect_err("reuse while in flight must be refused");
         assert_eq!(err.kind, MuxErrorKind::Decode);
         assert!(err.detail.contains("already in flight"));
-        assert!(!mux.is_poisoned(), "a rejected reuse must not poison");
-        // A duplicate of a *pending* id is rejected the same way.
-        let pending = mux.submit(9, &request_bytes(4, 9, b"still in flight"));
-        let err = mux
-            .submit(9, &request_bytes(3, 9, b"duplicate"))
-            .wait()
-            .expect_err("duplicate of a pending id must be rejected");
-        assert_eq!(err.kind, MuxErrorKind::Decode);
-        drop(pending);
-        // Other ids are unaffected throughout.
-        let (_, payload) = mux
-            .submit(8, &request_bytes(3, 8, b"unaffected"))
-            .wait()
+        assert!(!mux.is_poisoned(), "a refused reuse must not poison");
+        // Another id is unaffected, and its reply follows the loser's.
+        let (_, payload) = wait(submit(&mux, 8, &request_bytes(3, 8, b"unaffected")))
             .expect("fresh id still round-trips");
         assert_eq!(&payload[8..], b"unaffected");
+        let (_, payload) = wait(loser).expect("the loser's reply drained");
+        assert_eq!(&payload[8..], b"loser");
+        // Drained, the id is free again.
+        let (_, payload) = wait(submit(&mux, 7, &request_bytes(3, 7, b"reused")))
+            .expect("reused id after the drain");
+        assert_eq!(&payload[8..], b"reused");
         drop(mux);
         server.join().expect("server thread");
     }
 
     #[test]
     fn a_drained_duplicate_reply_does_not_corrupt_a_later_reused_id() {
-        // The hedge-loser shape: a request is abandoned, its late reply
-        // drains, and the id is then reused for a fresh request. The fresh
-        // caller must get *its own* reply, never the stale one.
+        // The peer answers id 5 twice. The second copy is a stale
+        // duplicate of our own traffic (at or below the submit high-water
+        // mark): discarded quietly, and a later request reusing the id
+        // gets *its own* reply, never the stale one.
         let (addr, server) = frame_server(|mut stream| {
             while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
-                if tag == 3 {
-                    write_frame(&mut stream, tag, &payload).expect("echo");
+                write_frame(&mut stream, tag, &payload).expect("echo");
+                if tag == 5 {
+                    write_frame(&mut stream, tag, &payload).expect("duplicate");
                 }
             }
         });
         let mux = connect_mux(&addr, MuxOptions::default());
-        // Abandon id 5; the echo arrives afterwards and is drained.
-        drop(mux.submit(5, &request_bytes(3, 5, b"stale loser reply")));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while mux.shared.lock().abandoned.contains(&5) {
-            assert!(Instant::now() < deadline, "late reply never drained");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(!mux.is_poisoned(), "drained duplicate must not poison");
-        // Reuse the id: the new request correlates to the new reply.
-        let (_, payload) = mux
-            .submit(5, &request_bytes(3, 5, b"fresh winner reply"))
-            .wait()
+        let (_, payload) =
+            wait(submit(&mux, 5, &request_bytes(5, 5, b"stale loser reply"))).expect("first copy");
+        assert_eq!(&payload[8..], b"stale loser reply");
+        // Replies arrive in order, so once id 6 is answered the duplicate
+        // has been read and discarded.
+        wait(submit(&mux, 6, &request_bytes(3, 6, b"barrier"))).expect("barrier reply");
+        assert!(!mux.is_poisoned(), "a drained duplicate must not poison");
+        let (_, payload) = wait(submit(&mux, 5, &request_bytes(3, 5, b"fresh winner reply")))
             .expect("reused id after the drain");
         assert_eq!(&payload[8..], b"fresh winner reply");
         drop(mux);
@@ -1053,56 +846,97 @@ mod tests {
 
     #[test]
     fn arrival_time_is_the_delivery_not_the_poll() {
-        let (addr, server) = frame_server(|mut stream| {
-            while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
-                write_frame(&mut stream, tag, &payload).expect("echo");
-            }
-        });
+        let (addr, server) = frame_server(echo);
         let mux = connect_mux(&addr, MuxOptions::default());
         let submitted = Instant::now();
-        let mut pending = mux.submit(1, &request_bytes(3, 1, b"stamp"));
-        assert_eq!(pending.arrived_at(), None);
-        // The echo lands long before this poll runs.
+        let pending = submit(&mux, 1, &request_bytes(3, 1, b"stamp"));
+        // The echo lands long before this receive runs.
         std::thread::sleep(Duration::from_millis(200));
         let polled = Instant::now();
-        let reply = pending.poll_timeout(Duration::from_secs(5));
-        assert!(matches!(reply, Some(Ok(_))), "echoed reply");
-        let arrived = pending.arrived_at().expect("stamped on receipt");
+        let (reply, arrived) = pending.recv().expect("the completion ran");
+        assert!(reply.is_ok(), "echoed reply");
         assert!(submitted <= arrived && arrived < polled);
         drop(mux);
         server.join().expect("server thread");
     }
 
     #[test]
-    fn poll_timeout_times_out_then_delivers() {
-        let (addr, server) = frame_server(|mut stream| {
-            // Answer only the second request ever received; swallow the
-            // first (tag 4) to force the poll timeout path.
-            while let Ok((tag, payload)) = read_frame(&mut stream, 1 << 20) {
-                if tag == 3 {
-                    write_frame(&mut stream, tag, &payload).expect("echo");
-                }
+    fn a_completion_runs_once_on_the_reader_thread_for_every_outcome() {
+        /// A completion that logs the thread it ran on and the outcome's
+        /// error kind (`None` for a reply).
+        type Log = Arc<Mutex<Vec<(Option<String>, Option<MuxErrorKind>)>>>;
+        fn logging<R>(log: &Log) -> impl FnOnce(Result<R, MuxError>, Instant) + Send + 'static {
+            let log = Arc::clone(log);
+            move |reply, _| {
+                let thread = std::thread::current().name().map(str::to_string);
+                log.lock()
+                    .unwrap()
+                    .push((thread, reply.err().map(|e| e.kind)));
             }
-        });
+        }
+        let reader = Some("mux-reader".to_string());
+
+        // A reply.
+        let log = Log::default();
+        let (addr, server) = frame_server(echo);
         let mux = connect_mux(&addr, MuxOptions::default());
-        let mut slow = mux.submit(1, &request_bytes(4, 1, b"never answered"));
-        assert!(
-            slow.poll_timeout(Duration::from_millis(50)).is_none(),
-            "an unanswered request polls to None"
-        );
-        let mut fast = mux.submit(2, &request_bytes(3, 2, b"hedge"));
-        let reply = loop {
-            if let Some(reply) = fast.poll_timeout(Duration::from_millis(50)) {
-                break reply;
-            }
-        };
-        let (_, payload) = reply.expect("hedged reply");
-        assert_eq!(&payload[8..], b"hedge");
-        // Dropping the loser abandons it quietly.
-        drop(slow);
-        assert!(!mux.is_poisoned());
+        mux.submit(1, &request_bytes(3, 1, b"answered"), logging(&log))
+            .expect("registers");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while mux.in_flight() > 0 {
+            assert!(Instant::now() < deadline, "the echo never arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         drop(mux);
         server.join().expect("server thread");
+        assert_eq!(*log.lock().unwrap(), vec![(reader.clone(), None)]);
+
+        // A peer hangup.
+        let log = Log::default();
+        let (addr, server) = frame_server(|mut stream| {
+            let _ = read_frame(&mut stream, 1 << 20);
+        });
+        let mux = connect_mux(&addr, MuxOptions::default());
+        mux.submit(1, &request_bytes(3, 1, b"hung up"), logging(&log))
+            .expect("registers");
+        server.join().expect("server thread");
+        while !mux.is_poisoned() {
+            assert!(Instant::now() < deadline, "the hangup was never seen");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(mux);
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![(reader.clone(), Some(MuxErrorKind::Io))]
+        );
+
+        // A failed write, poisoned by the submitter.
+        let log = Log::default();
+        let mux = broken_mux(&Arc::default());
+        mux.submit(1, &request_bytes(3, 1, b"unwritable"), logging(&log))
+            .expect("registers before the write fails");
+        drop(mux);
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![(reader.clone(), Some(MuxErrorKind::Io))]
+        );
+
+        // A drop with the request still unanswered.
+        let log = Log::default();
+        let (addr, server) = frame_server(
+            |mut stream| {
+                while read_frame(&mut stream, 1 << 20).is_ok() {}
+            },
+        );
+        let mux = connect_mux(&addr, MuxOptions::default());
+        mux.submit(1, &request_bytes(3, 1, b"never answered"), logging(&log))
+            .expect("registers");
+        drop(mux);
+        server.join().expect("server thread");
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![(reader, Some(MuxErrorKind::Closed))]
+        );
     }
 
     #[test]
